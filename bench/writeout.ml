@@ -2,11 +2,12 @@
    quantified.
 
    Phase 1 stages the same files to disk (deferred migration) and then
-   copies the staged segments out to tape one at a time, with the
-   streaming write-out on and off. Tape is where the serialized shape
-   hurts most: a 16 MB segment spends ~11.5 s crossing the staging disk
-   and ~15 s crossing the Metrum drive, and the blocking path pays them
-   back to back. The streaming path reads the next chunk off the disk
+   copies the staged segments out to tape one at a time, streamed in
+   64 KB chunks and blocking (one chunk of the whole segment). Tape is
+   where the serialized shape hurts most: a 16 MB segment spends
+   ~11.5 s crossing the staging disk and ~15 s crossing the Metrum
+   drive, and the blocking copy-out pays them back to back. The
+   streaming copy-out reads the next chunk off the disk
    while the previous one is still going down the tape, so a segment's
    copy-out costs max(read, write) + one chunk instead of read + write.
    A Ledger is installed around the measured phase so the gain shows up
@@ -64,7 +65,6 @@ let run_writeout ~streaming =
           }
         in
         let hl = Highlight.Hl.mkfs engine prm ~disk:dev ~fp () in
-        Highlight.Hl.set_streaming_writeout hl streaming;
         let st = Highlight.Hl.state hl in
         let fsys = Highlight.Hl.fs hl in
         let file_bytes = wo_file_blocks * prm.Param.block_size in
@@ -93,6 +93,10 @@ let run_writeout ~streaming =
             !staged
         in
         Highlight.Hl.reset_stats hl;
+        (* blocking copy-out is the one-chunk write-out: the staging read
+           lifts the whole image before the tape write starts *)
+        let stream_chunk = st.Highlight.State.stream_chunk_blocks in
+        if not streaming then st.Highlight.State.stream_chunk_blocks <- wo_seg_blocks;
         (* attribute the measured copy-outs only, not the setup staging *)
         Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
         let ok = ref true in
@@ -110,6 +114,8 @@ let run_writeout ~streaming =
         let elapsed = Sim.Engine.now engine -. t0 in
         (* quiesce so the in-flight ledgers close before the harvest *)
         Sim.Engine.delay 30.0;
+        (* the read-back's fetches stream at the usual grain *)
+        st.Highlight.State.stream_chunk_blocks <- stream_chunk;
         let s = Highlight.Hl.stats hl in
         if s.Highlight.Hl.writeouts <> List.length lines then ok := false;
         (* read back through the tape copies: the copy-out must have

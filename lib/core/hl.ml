@@ -196,7 +196,6 @@ let set_prefetch_adaptive t ?min_depth ?max_depth () =
 let set_prefetch_hints t f = t.st.State.prefetch <- f
 
 let set_streaming_fetch t flag = t.st.State.streaming_fetch <- flag
-let set_streaming_writeout t flag = t.st.State.streaming_writeout <- flag
 let set_idle_readahead t flag = t.st.State.idle_readahead <- flag
 
 let eject_tertiary_copies t ~paths =

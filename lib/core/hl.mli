@@ -99,14 +99,11 @@ val set_streaming_fetch : t -> bool -> unit
     line's in-memory image, waking each waiter the moment the chunk
     holding its block arrives (watermark protocol — see DESIGN.md).
     [false] restores the blocking behaviour, where waiters sleep until
-    the whole segment has landed on the cache disk. *)
-
-val set_streaming_writeout : t -> bool -> unit
-(** Default [true]: in pipelined mode a write-out's staging-disk read
-    and its tertiary write overlap within the segment behind a
-    written-prefix watermark ("Streaming write-out" in DESIGN.md); WORM
-    volumes always take the blocking path regardless. [false] restores
-    the read-whole-image-then-write behaviour. *)
+    the whole segment has landed on the cache disk. Both settings use
+    the same read; [false] reads the segment as one chunk and publishes
+    nothing before the landing. Write-outs have no such toggle: they
+    always stream at [State.stream_chunk_blocks], except one-chunk
+    (blocking) write-outs to WORM volumes and in [Serial] mode. *)
 
 val set_idle_readahead : t -> bool -> unit
 (** Default [false]: when enabled, a tertiary worker running out of
@@ -154,8 +151,8 @@ type stats = {
   writeout_overlap : float;
       (** The same ratio restricted to write-out phases: 1.0 when each
           write-out's staging-disk read and tertiary write serialize
-          (blocking pipeline), approaching 2.0 when the streaming
-          pipeline runs them concurrently within the segment. *)
+          (one-chunk write-outs), approaching 2.0 when a chunked
+          write-out runs them concurrently within the segment. *)
   partial_line_serves : int;
       (** Reads served from the delivered prefix of a Partial cache
           line — a failed streaming fetch whose data was kept

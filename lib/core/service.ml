@@ -254,28 +254,48 @@ let pick_source st tindex =
 
 type fetch_ctx = { f_line : Seg_cache.line; f_urgent : bool; f_enqueued : float }
 
-(* Shared state of one streaming write-out: the cache-disk worker fills
-   [ws_buf] front to back, advancing the [ws_read] watermark and
-   broadcasting [ws_avail]; the tertiary worker's per-chunk [await]
-   blocks until the watermark covers the chunk it is about to put on the
-   media. A permanent disk-side failure parks in [ws_failed] — the
-   tertiary side surfaces it at its next await, so the write-out fails
-   exactly once, from the worker that owns its ledger. *)
-type wo_stream = {
-  ws_buf : Bytes.t;
-  mutable ws_read : int;  (** blocks of [ws_buf] holding real data *)
-  ws_avail : Sim.Condvar.t;
-  mutable ws_failed : string option;
-}
-
+(* Shared state of one write-out: the cache-disk producer fills [w_buf]
+   front to back in [w_chunk]-block pieces, advancing the [w_read]
+   watermark and broadcasting [w_avail]; the tertiary consumer's
+   per-chunk [await] blocks until the watermark covers the chunk it is
+   about to put on the media. A permanent disk-side failure after the
+   handoff parks in [w_failed] — the consumer surfaces it at its next
+   await, so the write-out fails exactly once, from the worker that
+   owns its ledger. *)
 type wo_ctx = {
   w_line : Seg_cache.line;
   w_status : writeout_status ref;
   w_done : Sim.Condvar.t;
-  w_stream : wo_stream option;
-      (** [Some] when the staging-disk read and the tertiary write of
-          this write-out run concurrently (streaming mode) *)
+  w_buf : Bytes.t;
+  w_chunk : int;
+      (** producer and consumer grain; [seg_blocks] makes the copy-out
+          the paper's blocking read-then-write *)
+  mutable w_read : int;  (** blocks of [w_buf] holding real data *)
+  w_avail : Sim.Condvar.t;
+  mutable w_failed : string option;
 }
+
+(* One chunk per segment where streaming must not or cannot overlap:
+   WORM media (a mid-segment fault retry would rewrite blocks already
+   on the platter, which the volume rejects as an overwrite) and the
+   [serial] baseline, whose one I/O process runs the producer before
+   the consumer anyway. *)
+let writeout_ctx st ~serial line status done_cv =
+  let vol, _ = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
+  let chunk =
+    if serial || Footprint.media_kind st.fp vol = Device.Jukebox.Worm then seg_blocks st
+    else max 1 st.stream_chunk_blocks
+  in
+  {
+    w_line = line;
+    w_status = status;
+    w_done = done_cv;
+    w_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
+    w_chunk = chunk;
+    w_read = 0;
+    w_avail = Sim.Condvar.create ();
+    w_failed = None;
+  }
 
 (* ---------- fault handling ---------- *)
 
@@ -363,31 +383,33 @@ let fail_fetch st line msg =
 
 (* A write-out that exhausted its retries: the staged line keeps the
    only copy (Staging lines are never evictable), so nothing is lost —
-   the ticket reports [Failed] and the requester decides. Idempotent: a
-   streaming write-out lives in two work queues at once, so the
-   shutdown drain can reach the same context twice. Always unsticks the
-   stream partner — a tertiary worker parked on [ws_avail] must see the
-   failure and exit its await. *)
-let fail_writeout st ctx msg =
-  (match ctx.w_stream with
-  | Some ws ->
-      if ws.ws_failed = None then ws.ws_failed <- Some msg;
-      Sim.Condvar.broadcast ws.ws_avail
-  | None -> ());
-  match !(ctx.w_status) with
+   the ticket reports [Failed] and the requester decides. Idempotent.
+   [fail_writeout_request] settles a request that never got a context
+   (failed at dispatch or drained from the mailbox). *)
+let fail_writeout_request st line status done_cv msg =
+  match !status with
   | Failed _ -> ()
   | _ ->
-      Hl_log.Log.info (fun m ->
-          m "write-out of tseg %d failed: %s" ctx.w_line.Seg_cache.tindex msg);
+      Hl_log.Log.info (fun m -> m "write-out of tseg %d failed: %s" line.Seg_cache.tindex msg);
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "service.writeout_failures");
-      ctx.w_status := Failed msg;
-      Sim.Trace.async_end ~track:"service" ctx.w_line.Seg_cache.span_id
-        ~args:[ ("failed", msg) ];
-      ctx.w_line.Seg_cache.span_id <- -1;
-      Sim.Ledger.close ctx.w_line.Seg_cache.ledger;
-      ctx.w_line.Seg_cache.ledger <- Sim.Ledger.none;
+      status := Failed msg;
+      Sim.Trace.async_end ~track:"service" line.Seg_cache.span_id ~args:[ ("failed", msg) ];
+      line.Seg_cache.span_id <- -1;
+      Sim.Ledger.close line.Seg_cache.ledger;
+      line.Seg_cache.ledger <- Sim.Ledger.none;
       note_progress st;
-      Sim.Condvar.broadcast ctx.w_done
+      Sim.Condvar.broadcast done_cv
+
+(* Unsticks the producer and consumer: a producer stops at its next
+   chunk and a consumer parked on [w_avail] sees the failure and exits
+   its await. *)
+let abort_stream ctx msg =
+  if ctx.w_failed = None then ctx.w_failed <- Some msg;
+  Sim.Condvar.broadcast ctx.w_avail
+
+let fail_writeout st ctx msg =
+  abort_stream ctx msg;
+  fail_writeout_request st ctx.w_line ctx.w_status ctx.w_done msg
 
 (* Bracket one device phase with the Table 4 busy-time accounting, on
    the failure path too — the device was busy right up to the fault. *)
@@ -425,14 +447,18 @@ let phased_wo st phase f =
    cheapest copy. The copy is re-chosen on every retry, so a replica on
    a healthy volume can stand in for a primary behind a dead drive.
 
-   Streaming mode attaches the image buffer to the line *before* the
-   transfer and advances the [valid_blocks] watermark as each chunk
-   crosses the bus, broadcasting [ready] so a waiter whose block offset
-   just became valid unblocks immediately — the cache-disk landing and
-   the rest of the segment are off its critical path. The watermark
-   only moves when the delivered chunk extends the contiguous prefix,
-   and never regresses across retries: segment data is deterministic
-   (replicas are copies), so a retry re-blits the same bytes. *)
+   The image buffer is attached to the line *before* the transfer and
+   each chunk lands at its final offset in it — one store→image copy,
+   no per-chunk buffers. With [streaming_fetch] the [valid_blocks]
+   watermark advances as each chunk crosses the bus, broadcasting
+   [ready] so a waiter whose block offset just became valid unblocks
+   immediately — the cache-disk landing and the rest of the segment are
+   off its critical path. The watermark only moves when the delivered
+   chunk extends the contiguous prefix, and never regresses across
+   retries: segment data is deterministic (replicas are copies), so a
+   retry re-blits the same bytes. Without [streaming_fetch] the
+   segment moves as one chunk and nothing is published before the
+   landing (the paper's blocking fetch). *)
 let fetch_read st ctx =
   let line = ctx.f_line in
   Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "tertiary-read") ];
@@ -448,33 +474,26 @@ let fetch_read st ctx =
             ~args:
               [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
             (fun () ->
-              let bs = Footprint.block_size st.fp in
-              if not st.streaming_fetch then begin
-                let image = Bytes.create (seg_blocks st * bs) in
-                Footprint.read_seg_into st.fp ~vol ~seg ~dst:image ~dst_off:0;
-                image
-              end
-              else begin
-                let image =
-                  match line.Seg_cache.image with
-                  | Some img -> img (* retry: keep buffer and watermark *)
-                  | None ->
-                      let img = Bytes.create (seg_blocks st * bs) in
-                      line.Seg_cache.image <- Some img;
-                      img
-                in
-                (* each chunk lands at its final offset in the image
-                   before the callback runs — one store→image copy, no
-                   per-chunk buffers. The stream starts at the line's
-                   watermark: zero for a fresh fetch, partway through
-                   for the tail re-fetch of a Partial line or a retry
-                   after a mid-stream fault — the already-delivered
-                   prefix is never re-read. *)
-                let start = line.Seg_cache.valid_blocks in
-                if start < seg_blocks st then
-                  Footprint.read_seg_stream_into st.fp ~vol ~seg
-                    ~chunk:st.stream_chunk_blocks ~off:start ~dst:image ~dst_off:0
-                    (fun ~off ~blocks ->
+              let image =
+                match line.Seg_cache.image with
+                | Some img -> img (* retry: keep buffer and watermark *)
+                | None ->
+                    let img = Bytes.create (seg_blocks st * Footprint.block_size st.fp) in
+                    line.Seg_cache.image <- Some img;
+                    img
+              in
+              (* the stream starts at the line's watermark: zero for a
+                 fresh fetch, partway through for the tail re-fetch of a
+                 Partial line or a retry after a mid-stream fault — the
+                 already-delivered prefix is never re-read *)
+              let start = line.Seg_cache.valid_blocks in
+              let streaming = st.streaming_fetch in
+              if start < seg_blocks st then
+                Footprint.read_seg_stream_into st.fp ~vol ~seg
+                  ~chunk:(if streaming then st.stream_chunk_blocks else seg_blocks st)
+                  ~off:start ~dst:image ~dst_off:0
+                  (fun ~off ~blocks ->
+                    if streaming then begin
                       Sim.Ledger.mark_first_block line.Seg_cache.ledger;
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
@@ -482,9 +501,9 @@ let fetch_read st ctx =
                         line.Seg_cache.valid_blocks <-
                           max line.Seg_cache.valid_blocks (off + blocks);
                         Sim.Condvar.broadcast line.Seg_cache.ready
-                      end);
-                image
-              end)))
+                      end
+                    end);
+              image)))
 
 (* Readers of a just-fetched segment are served from its in-memory
    buffer instead of re-reading the cache disk the worker just wrote —
@@ -543,24 +562,8 @@ let fetch_write st ctx image =
       st.on_fetch line.Seg_cache.tindex;
       Ok ()
 
-(* Write-out phase A (cache-disk worker): lift the staged image off the
-   cache disk. *)
-let writeout_read st ctx =
-  Sim.Trace.async_instant ctx.w_line.Seg_cache.span_id ~args:[ ("phase", "disk-read") ];
-  Sim.Ledger.with_active ctx.w_line.Seg_cache.ledger @@ fun () ->
-  with_retries st ~what:"writeout:disk-read" (fun () ->
-      phased_wo st `Disk (fun () ->
-          Sim.Trace.span ~cat:"service" "writeout:disk-read"
-            ~args:[ ("tindex", string_of_int ctx.w_line.Seg_cache.tindex) ]
-            (fun () ->
-              Block_io.raw_read_cache_line st ~disk_seg:ctx.w_line.Seg_cache.disk_seg)))
-
-(* Write-out phase B (tertiary worker): copy to the jukebox, re-homing
-   on end-of-medium. The image is address-free (pointers live in the fs
-   maps), so a re-home can re-use the buffer without re-reading. *)
-(* Write-out completion, shared by the blocking and streaming tertiary
-   phases: publish the staged line as clean, settle the ticket, close
-   the books. *)
+(* Write-out completion: publish the staged line as clean, settle the
+   ticket, close the books. *)
 let writeout_done st ctx =
   let line = ctx.w_line in
   line.Seg_cache.state <- Seg_cache.Staged_clean;
@@ -577,89 +580,63 @@ let writeout_done st ctx =
   note_progress st;
   Sim.Condvar.broadcast ctx.w_done
 
-let rec writeout_write st ctx image =
-  let line = ctx.w_line in
-  let vol, seg = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
-  (* everything from here to the last block on the media is the
-     write-out's tertiary phase: one category, comparable across the
-     blocking and streaming pipelines *)
-  Sim.Ledger.with_active ~redirect:Sim.Ledger.Tertiary_write line.Seg_cache.ledger
-  @@ fun () ->
-  match
-    with_retries st ~what:"writeout:tertiary-write" (fun () ->
-        phased_wo st `Tertiary (fun () ->
-            Sim.Trace.span ~cat:"service" "writeout:tertiary-write"
-              ~args:
-                [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
-              (fun () -> Footprint.write_seg st.fp ~vol ~seg image)))
-  with
-  | Error _ as e -> e
-  | Ok Footprint.Written ->
-      writeout_done st ctx;
-      Ok ()
-  | Ok Footprint.End_of_medium ->
-      Hl_log.Log.info (fun m ->
-          m "end of medium: re-homing staged segment (was tseg %d)" line.Seg_cache.tindex);
-      rehome st line;
-      Sim.Trace.async_instant line.Seg_cache.span_id
-        ~args:[ ("phase", "rehome"); ("new_tindex", string_of_int line.Seg_cache.tindex) ];
-      ctx.w_status := Rehomed line.Seg_cache.tindex;
-      writeout_write st ctx image
-
-(* ---------- the streaming write-out pipeline ---------- *)
-
-(* Local abort of a streaming tertiary write: the disk-side producer
-   failed permanently, so the awaited watermark will never advance. *)
+(* Local abort of a tertiary write: the disk-side producer failed
+   permanently, so the awaited watermark will never advance. *)
 exception Stream_aborted of string
 
-(* Streaming write-out, disk side: fill the context's buffer front to
-   back in [stream_chunk_blocks] pieces, advancing the shared watermark
-   after each chunk so the tertiary worker can put it on the media while
-   the next chunk is still under the disk arm. Runs with no request
-   ledger active — the tertiary side owns the write-out's ledger end to
-   end, so this read charges nobody (its effect shows up as the stalls
-   it removes). A retry resumes from the watermark: the prefix already
-   handed over never regresses. *)
-let writeout_stream_read st ctx ws =
-  Sim.Trace.async_instant ctx.w_line.Seg_cache.span_id
-    ~args:[ ("phase", "disk-read-stream") ];
-  match
+(* Write-out, disk side (the producer): lift the staged image off the
+   cache disk into the context's buffer front to back in [w_chunk]
+   pieces, advancing the shared watermark after each chunk so the
+   consumer can put it on the media while the next chunk is still under
+   the disk arm.
+
+   The producer owns the write-out and its ledger until the first chunk
+   lands; then [handoff] passes both to the consumer (false if it could
+   not, having failed the write-out itself). The rest of the read runs
+   with no ledger active — it charges nobody, and its effect shows up as
+   the stalls it removes from the consumer. A failure before the handoff
+   fails the write-out here; after it, the failure parks in [w_failed]
+   for the consumer to surface. A retry resumes from the watermark.
+   With [w_chunk = seg_blocks] the first chunk is the whole segment and
+   this is the blocking read-then-write. *)
+let writeout_read st ctx ~handoff =
+  let line = ctx.w_line in
+  let total = seg_blocks st in
+  let read_upto upto =
     with_retries st ~what:"writeout:disk-read" (fun () ->
         phased_wo st `Disk (fun () ->
             Sim.Trace.span ~cat:"service" "writeout:disk-read"
-              ~args:[ ("tindex", string_of_int ctx.w_line.Seg_cache.tindex) ]
+              ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
               (fun () ->
-                let base = disk_seg_base st ctx.w_line.Seg_cache.disk_seg in
+                let base = disk_seg_base st line.Seg_cache.disk_seg in
                 let bs = st.disk.Lfs.Dev.block_size in
-                let total = seg_blocks st in
-                let chunk = max 1 st.stream_chunk_blocks in
-                let off = ref ws.ws_read in
-                while !off < total && ws.ws_failed = None do
-                  let n = min chunk (total - !off) in
-                  st.disk.Lfs.Dev.read_into ~blk:(base + !off) ~count:n ~dst:ws.ws_buf
-                    ~dst_off:(!off * bs);
-                  off := !off + n;
-                  if !off > ws.ws_read then begin
-                    ws.ws_read <- !off;
-                    Sim.Condvar.broadcast ws.ws_avail
-                  end
+                while ctx.w_read < upto && ctx.w_failed = None do
+                  let n = min ctx.w_chunk (upto - ctx.w_read) in
+                  st.disk.Lfs.Dev.read_into ~blk:(base + ctx.w_read) ~count:n ~dst:ctx.w_buf
+                    ~dst_off:(ctx.w_read * bs);
+                  ctx.w_read <- ctx.w_read + n;
+                  Sim.Condvar.broadcast ctx.w_avail
                 done)))
+  in
+  Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "disk-read") ];
+  match
+    Sim.Ledger.with_active line.Seg_cache.ledger (fun () -> read_upto (min ctx.w_chunk total))
   with
-  | Ok () -> ()
-  | Error msg ->
-      (* don't settle the ticket from here: the tertiary worker owns the
-         write-out and surfaces the failure at its next await *)
-      if ws.ws_failed = None then ws.ws_failed <- Some msg;
-      Sim.Condvar.broadcast ws.ws_avail
+  | Error msg -> fail_writeout st ctx msg
+  | Ok () -> (
+      if handoff () && ctx.w_read < total then
+        match read_upto total with Ok () -> () | Error msg -> abort_stream ctx msg)
 
-(* Streaming write-out, tertiary side: the jukebox write's per-chunk
-   [await] parks on the stream watermark, so the media transfer chases
-   the staging-disk read through the segment with whatever lead the
-   slower device allows. End-of-medium re-homes and restarts exactly
-   like the blocking path (the data is address-free, and the watermark
-   carries over); a whole-segment retry after a media fault re-awaits
-   the already-read prefix instantly. *)
-let writeout_stream_write st ctx ws =
+(* Write-out, tertiary side (the consumer): the jukebox write's
+   per-chunk [await] parks on the watermark, so the media transfer
+   chases the staging-disk read through the segment with whatever lead
+   the slower device allows. End-of-medium re-homes and restarts (the
+   image is address-free — pointers live in the fs maps — and the
+   watermark carries over); a whole-segment retry after a media fault
+   re-awaits the already-read prefix instantly. Everything from here to
+   the last block on the media is the write-out's tertiary phase, one
+   category whatever the chunk. *)
+let writeout_write st ctx =
   let line = ctx.w_line in
   let rec attempt () =
     let vol, seg = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
@@ -668,21 +645,17 @@ let writeout_stream_write st ctx ws =
           phased_wo st `Tertiary (fun () ->
               Sim.Trace.span ~cat:"service" "writeout:tertiary-write"
                 ~args:
-                  [
-                    ("tindex", string_of_int line.Seg_cache.tindex);
-                    ("vol", string_of_int vol);
-                    ("stream", "1");
-                  ]
+                  [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
                 (fun () ->
-                  Footprint.write_seg_stream_from st.fp ~vol ~seg
-                    ~chunk:(max 1 st.stream_chunk_blocks) ~src:ws.ws_buf ~src_off:0
+                  Footprint.write_seg_stream_from st.fp ~vol ~seg ~chunk:ctx.w_chunk
+                    ~src:ctx.w_buf ~src_off:0
                     ~await:(fun ~off ~blocks ->
-                      while ws.ws_read < off + blocks && ws.ws_failed = None do
+                      while ctx.w_read < off + blocks && ctx.w_failed = None do
                         (* the stall is part of the tertiary phase: the
                            drive is claimed and waiting on the producer *)
-                        Sim.Condvar.wait ~charge:Sim.Ledger.Queue_wait ws.ws_avail
+                        Sim.Condvar.wait ~charge:Sim.Ledger.Queue_wait ctx.w_avail
                       done;
-                      match ws.ws_failed with
+                      match ctx.w_failed with
                       | Some msg -> raise (Stream_aborted msg)
                       | None -> ())
                     (fun ~off ~blocks ->
@@ -704,7 +677,11 @@ let writeout_stream_write st ctx ws =
         ctx.w_status := Rehomed line.Seg_cache.tindex;
         attempt ()
   in
-  Sim.Ledger.with_active ~redirect:Sim.Ledger.Tertiary_write line.Seg_cache.ledger attempt
+  match
+    Sim.Ledger.with_active ~redirect:Sim.Ledger.Tertiary_write line.Seg_cache.ledger attempt
+  with
+  | Ok () -> ()
+  | Error msg -> fail_writeout st ctx msg
 
 (* ---------- the pipelined worker pool ---------- *)
 
@@ -719,17 +696,14 @@ let writeout_stream_write st ctx ws =
    interval to the request's ledger as [Queue_wait]. *)
 type tert_job =
   | T_fetch_read of fetch_ctx
-  | T_writeout_write of wo_ctx * Bytes.t
-      (** blocking pipeline: the staged image was fully lifted off the
-          cache disk before this job was queued *)
-  | T_writeout_stream of wo_ctx
-      (** streaming pipeline: the disk read runs concurrently; the data
-          arrives through the context's [wo_stream] watermark *)
+  | T_writeout of wo_ctx
+      (** queued by the producer once its first chunk landed; the rest
+          arrives through the context's watermark *)
 
 type vol_work = {
   vw_urgent : (int * float * fetch_ctx) Queue.t;
   vw_prefetch : (int * float * fetch_ctx) Queue.t;
-  vw_wo : (float * tert_job) Queue.t;
+  vw_wo : (float * wo_ctx) Queue.t;
   mutable vw_claimed : bool;
   vw_depth_name : string; (* "tertq.vol<N>.depth", formatted once *)
   mutable vw_depth_gauge : Sim.Metrics.gauge option; (* resolved on first use *)
@@ -834,15 +808,10 @@ let tq_push_fetch st q ctx =
   tq_note_depth st q vol;
   Sim.Condvar.broadcast q.tq_cv
 
-let wo_job_ctx = function
-  | T_writeout_write (ctx, _) | T_writeout_stream ctx -> ctx
-  | T_fetch_read _ -> invalid_arg "Service.wo_job_ctx"
-
-let tq_push_writeout st q job =
+let tq_push_writeout st q ctx =
   preempt_idle st q;
-  let ctx = wo_job_ctx job in
   let vol, _ = Addr_space.vol_seg_of_tindex st.aspace ctx.w_line.Seg_cache.tindex in
-  Queue.add (now st, job) (tq_vol q vol).vw_wo;
+  Queue.add (now st, ctx) (tq_vol q vol).vw_wo;
   tq_note_depth st q vol;
   Sim.Condvar.broadcast q.tq_cv
 
@@ -888,10 +857,9 @@ let tq_take st q =
     Option.map
       (fun (_, vol) ->
         let vw = Hashtbl.find q.tq_vols vol in
-        let pushed, job = Queue.pop vw.vw_wo in
-        let ctx = wo_job_ctx job in
+        let pushed, ctx = Queue.pop vw.vw_wo in
         Sim.Ledger.charge_since ctx.w_line.Seg_cache.ledger Sim.Ledger.Queue_wait pushed;
-        (vol, job))
+        (vol, T_writeout ctx))
       !best
   in
   match best_fetch (fun vw -> vw.vw_urgent) with
@@ -925,10 +893,9 @@ let tq_release q vol =
    else; prefetch landings and write-out reads ride behind. *)
 type disk_job =
   | D_fetch_write of fetch_ctx * Bytes.t
-  | D_writeout_read of wo_ctx
-  | D_writeout_stream of wo_ctx
-      (** streaming write-out's producer half: fill the context's stream
-          buffer chunk by chunk, advancing the shared watermark *)
+  | D_writeout of wo_ctx
+      (** a write-out's producer half: fill the context's buffer chunk
+          by chunk, advancing the shared watermark *)
 
 type diskq = {
   dq_urgent : (float * disk_job) Queue.t;
@@ -952,12 +919,7 @@ let dq_push st q ~urgent job =
 
 let dq_job_ledger = function
   | D_fetch_write (ctx, _) -> ctx.f_line.Seg_cache.ledger
-  | D_writeout_read ctx -> ctx.w_line.Seg_cache.ledger
-  | D_writeout_stream _ ->
-      (* the tertiary side owns the streaming write-out's ledger and is
-         queued concurrently: charging the disk queue's wait here would
-         double-bill the same wall-clock interval *)
-      Sim.Ledger.none
+  | D_writeout ctx -> ctx.w_line.Seg_cache.ledger
 
 let rec dq_pop st q =
   if st.stop_service then None
@@ -1035,22 +997,9 @@ let spawn_pipelined st =
               | Error msg -> fail_fetch st ctx.f_line msg);
               idle ();
               loop ()
-          | Some (vol, T_writeout_write (ctx, image)) ->
+          | Some (vol, T_writeout ctx) ->
               busy vol "writeout";
-              (match writeout_write st ctx image with
-              | Ok () -> ()
-              | Error msg -> fail_writeout st ctx msg);
-              tq_release tq vol;
-              idle ();
-              loop ()
-          | Some (vol, T_writeout_stream ctx) ->
-              busy vol "writeout-stream";
-              (match ctx.w_stream with
-              | Some ws -> (
-                  match writeout_stream_write st ctx ws with
-                  | Ok () -> ()
-                  | Error msg -> fail_writeout st ctx msg)
-              | None -> fail_writeout st ctx "stream context missing");
+              writeout_write st ctx;
               tq_release tq vol;
               idle ();
               loop ()
@@ -1070,25 +1019,20 @@ let spawn_pipelined st =
             | Error msg -> fail_fetch st ctx.f_line msg);
             didle ();
             loop ()
-        | Some (D_writeout_read ctx) -> (
+        | Some (D_writeout ctx) ->
             dbusy "writeout-stage";
-            let r = writeout_read st ctx in
-            didle ();
-            match r with
-            | Ok image when not st.stop_service ->
-                tq_push_writeout st tq (T_writeout_write (ctx, image));
-                loop ()
-            | Ok _ ->
-                fail_writeout st ctx "service stopped";
-                loop ()
-            | Error msg ->
-                fail_writeout st ctx msg;
-                loop ())
-        | Some (D_writeout_stream ctx) ->
-            dbusy "writeout-stream-stage";
-            (match ctx.w_stream with
-            | Some ws -> writeout_stream_read st ctx ws
-            | None -> fail_writeout st ctx "stream context missing");
+            writeout_read st ctx ~handoff:(fun () ->
+                (* the tertiary workers may be gone once [stop_service]
+                   is set: fail the write-out rather than park it in a
+                   dead queue *)
+                if st.stop_service then begin
+                  fail_writeout st ctx "service stopped";
+                  false
+                end
+                else begin
+                  tq_push_writeout st tq ctx;
+                  true
+                end);
             didle ();
             loop ()
       in
@@ -1209,42 +1153,16 @@ let spawn_pipelined st =
               if is_prefetch then cancel_prefetch st line
               else Queue.add (line, enqueued) starved
         | Writeout { line; status; done_cv; _ } when st.stop_service ->
-            fail_writeout st
-              { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-              "service stopped"
+            fail_writeout_request st line status done_cv "service stopped"
         | Writeout { line; enqueued; status; done_cv } ->
             preempt_idle st tq;
             st.queue_time <- st.queue_time +. (now st -. enqueued);
             Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-            let vol, _ = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
-            (* WORM media always takes the blocking path: a mid-stream
-               fault retry re-writes the whole segment, which a WORM
-               volume would reject as an overwrite *)
-            if
-              st.streaming_writeout
-              && Footprint.media_kind st.fp vol <> Device.Jukebox.Worm
-            then begin
-              let ws =
-                {
-                  ws_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
-                  ws_read = 0;
-                  ws_avail = Sim.Condvar.create ();
-                  ws_failed = None;
-                }
-              in
-              let ctx =
-                { w_line = line; w_status = status; w_done = done_cv; w_stream = Some ws }
-              in
-              (* both halves start now: the disk read begins filling the
-                 buffer while the tertiary job queues for a drive *)
-              dq_push st dq ~urgent:false (D_writeout_stream ctx);
-              tq_push_writeout st tq (T_writeout_stream ctx)
-            end
-            else
-              dq_push st dq ~urgent:false
-                (D_writeout_read
-                   { w_line = line; w_status = status; w_done = done_cv; w_stream = None })
+            (* the producer starts; it queues the tertiary half once
+               its first chunk has landed *)
+            dq_push st dq ~urgent:false
+              (D_writeout (writeout_ctx st ~serial:false line status done_cv))
         | Progress ->
             poke_pending := false;
             retry_starved ());
@@ -1265,16 +1183,13 @@ let spawn_pipelined st =
         Queue.clear vw.vw_urgent;
         Queue.iter (fun (_, _, ctx) -> fail_fetch st ctx.f_line abort) vw.vw_prefetch;
         Queue.clear vw.vw_prefetch;
-        Queue.iter (fun (_, job) -> fail_writeout st (wo_job_ctx job) abort) vw.vw_wo;
+        Queue.iter (fun (_, ctx) -> fail_writeout st ctx abort) vw.vw_wo;
         Queue.clear vw.vw_wo)
       tq.tq_vols;
     let abort_disk_job (_, job) =
       match job with
       | D_fetch_write (ctx, _) -> fail_fetch st ctx.f_line abort
-      (* [fail_writeout] is idempotent and always unsticks the stream
-         watermark, so reaching a streaming context from both of its
-         queues is safe *)
-      | D_writeout_read ctx | D_writeout_stream ctx -> fail_writeout st ctx abort
+      | D_writeout ctx -> fail_writeout st ctx abort
     in
     Queue.iter abort_disk_job dq.dq_urgent;
     Queue.clear dq.dq_urgent;
@@ -1288,9 +1203,7 @@ let spawn_pipelined st =
           fail_fetch st line abort;
           drain_mb ()
       | Some (Writeout { line; status; done_cv; _ }) ->
-          fail_writeout st
-            { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-            abort;
+          fail_writeout_request st line status done_cv abort;
           drain_mb ()
       | Some Progress -> drain_mb ()
       | None -> ()
@@ -1330,12 +1243,11 @@ let spawn_serial st =
             | Error msg -> fail_fetch st ctx.f_line msg);
             Sim.Condvar.broadcast cv
         | Io_writeout (ctx, cv) ->
-            (match writeout_read st ctx with
-            | Ok image -> (
-                match writeout_write st ctx image with
-                | Ok () -> ()
-                | Error msg -> fail_writeout st ctx msg)
-            | Error msg -> fail_writeout st ctx msg);
+            (* one chunk: the handoff comes after the whole read, and
+               this process runs the consumer itself *)
+            writeout_read st ctx ~handoff:(fun () ->
+                writeout_write st ctx;
+                true);
             Sim.Condvar.broadcast cv
         | Io_stop -> ());
         if not st.stop_service then loop ()
@@ -1408,8 +1320,7 @@ let spawn_serial st =
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
             let cv = Sim.Condvar.create () in
             Sim.Mailbox.send io_mb
-              (Io_writeout
-                 ({ w_line = line; w_status = status; w_done = done_cv; w_stream = None }, cv));
+              (Io_writeout (writeout_ctx st ~serial:true line status done_cv, cv));
             Sim.Condvar.wait cv
         | Some Progress -> () (* never queued; classify drops it *));
         if not st.stop_service then loop ()
@@ -1420,9 +1331,7 @@ let spawn_serial st =
       let abort = function
         | Fetch { line; _ } -> fail_fetch st line "service stopped"
         | Writeout { line; status; done_cv; _ } ->
-            fail_writeout st
-              { w_line = line; w_status = status; w_done = done_cv; w_stream = None }
-              "service stopped"
+            fail_writeout_request st line status done_cv "service stopped"
         | Progress -> ()
       in
       Queue.iter abort urgent;

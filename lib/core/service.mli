@@ -9,6 +9,18 @@
     prefetches, and write-outs batch per destination volume to amortize
     robot swaps. The dispatcher itself never blocks on a transfer.
 
+    Each transfer has one implementation, chunked at
+    [State.stream_chunk_blocks]. A fetch reads through one call and
+    [State.streaming_fetch] only decides whether readers see each chunk
+    as it lands or the whole segment after the cache-disk write (then
+    read as one chunk). A write-out is a producer (the cache-disk read)
+    and a consumer (the tertiary write) sharing a buffer behind a
+    written-prefix watermark: the producer owns the write-out and its
+    ledger until its first chunk lands, then queues the consumer and
+    hands both over. One chunk of [seg_blocks] — WORM volumes, [Serial]
+    mode, or [stream_chunk_blocks = seg_blocks] — is the blocking
+    read-then-write.
+
     [State.io_mode = Serial] instead reproduces the paper's measured
     configuration — a single I/O process serviced one request at a
     time — as the baseline the Table 4 "overlapped" column and the
@@ -36,7 +48,9 @@ type ticket
 
 val request_writeout : State.t -> Seg_cache.line -> ticket
 (** Queues a freshly assembled staging segment for copy-out; the
-    service/I/O processes drain the queue asynchronously. *)
+    service/I/O processes drain the queue asynchronously. A shutdown
+    settles every ticket, including one whose producer is mid-read
+    (it fails with "service stopped" at the handoff). *)
 
 val await : ticket -> State.writeout_status
 (** Blocks until the copy (including any end-of-medium re-homing)

@@ -52,11 +52,6 @@ type t = {
   mutable io_busy_since : float;
   mutable prefetches_dropped : int;
   mutable streaming_fetch : bool;
-  mutable streaming_writeout : bool;
-      (** overlap the staging-disk read with the tertiary write inside
-          one segment (written-prefix watermark); WORM volumes always
-          take the blocking path, since a mid-stream fault retry would
-          overwrite already-written blocks *)
   mutable idle_readahead : bool;
       (** when a tertiary worker goes idle, prefetch warm segments off
           the currently loaded volumes (cost-aware: never triggers a
@@ -137,7 +132,6 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     io_busy_since = 0.0;
     prefetches_dropped = 0;
     streaming_fetch = true;
-    streaming_writeout = true;
     idle_readahead = false;
     stream_chunk_blocks = 16;
     wo_disk_time = 0.0;

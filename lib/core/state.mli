@@ -87,25 +87,28 @@ type t = {
   mutable prefetches_dropped : int;
       (** speculative fetches cancelled because no cache line was free *)
   mutable streaming_fetch : bool;
-      (** when true (default), demand fetches stream chunk-by-chunk into
-          the line's image with a valid-prefix watermark, waking waiters
-          at first usable block; when false, the pre-streaming blocking
-          behaviour (wake only at fetch completion) *)
-  mutable streaming_writeout : bool;
-      (** when true (default, pipelined mode only), a write-out's
-          staging-disk read overlaps its tertiary write within the
-          segment behind a written-prefix watermark; WORM volumes always
-          take the blocking path, since a mid-stream fault retry would
-          overwrite already-written blocks *)
+      (** when true (default), a fetch publishes the line's valid-prefix
+          watermark as each [stream_chunk_blocks] chunk lands in the
+          image, waking waiters at first usable block; when false, the
+          segment moves as one chunk and waiters wake only when it has
+          landed on the cache disk (the paper's blocking fetch). Both
+          modes use the same read call. *)
   mutable idle_readahead : bool;
       (** off by default: when a tertiary worker goes idle, prefetch the
           warmest uncached segments of the currently loaded volumes
           (cost-aware — never triggers a swap); queued idle prefetches
           are cancelled the moment demand/write-out work arrives *)
   mutable stream_chunk_blocks : int;
-      (** streaming delivery grain in blocks (the simulated bus already
-          transfers at 64 KB; tests shrink this to observe mid-stream
-          states on small segments) *)
+      (** streaming grain in blocks: the fetch's delivery chunk, and the
+          write-out's producer/consumer chunk — a write-out's staging
+          read hands the segment to the tertiary write after its first
+          chunk, so the two overlap behind a written-prefix watermark.
+          Write-outs to WORM volumes and every write-out in [Serial]
+          mode use one chunk of [seg_blocks] (read whole, then write);
+          so does any write-out when this is set to [seg_blocks]. The
+          bus moves data at the 64 KB transfer grain whatever this is;
+          tests shrink it to observe mid-stream states on small
+          segments. *)
   mutable wo_disk_time : float;  (** busy time of write-out staging-disk reads *)
   mutable wo_tertiary_time : float;  (** busy time of write-out tertiary writes *)
   mutable wo_union_time : float;

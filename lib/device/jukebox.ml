@@ -260,13 +260,13 @@ let rec with_drive t vol ~for_write f =
 
 let chunk_blocks = 16 (* MAXPHYS-style 64 KB transfer grain *)
 
-(* [on_chunk] fires after each chunk's bus transfer completes — the
-   streaming-read delivery point. The chunk grain stays [chunk_blocks]
-   unless a caller asks for a different streaming granularity. *)
-let position_and_transfer ?(chunk = chunk_blocks) ?on_chunk t d ~blk ~count ~rate ~op =
+(* Data crosses the bus in [chunk_blocks] slices whatever grain the
+   caller delivers, awaits or checks faults at: a whole-segment chunk
+   must not hold a shared SCSI bus for the whole segment. *)
+let position_and_transfer t d ~blk ~count ~rate ~op =
   let rec go blk count =
     if count > 0 then begin
-      let n = min count chunk in
+      let n = min count chunk_blocks in
       if d.pos <> blk then begin
         let dist = abs (blk - d.pos) in
         let position () =
@@ -293,7 +293,6 @@ let position_and_transfer ?(chunk = chunk_blocks) ?on_chunk t d ~blk ~count ~rat
            transfer
        else transfer ());
       d.pos <- blk + n;
-      Option.iter (fun f -> f ~blk ~n) on_chunk;
       go (blk + n) (count - n)
     end
   in
@@ -313,31 +312,13 @@ let read t ~vol ~blk ~count =
   out
 
 (* Streaming read: the same drive/robot/bus model as [read], but each
-   chunk is delivered to [f] the moment its bus transfer completes, and
-   the fault plan is consulted per chunk — so a media error can strike
-   mid-transfer, after a prefix of the data has already been handed
-   over. Timing is identical to [read] (which already moves data through
-   the bus at [chunk_blocks] grain); only delivery and fault granularity
-   change. *)
-let read_stream t ~vol ~blk ~count ?(chunk = chunk_blocks) f =
-  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream: bad volume";
-  if chunk <= 0 then invalid_arg "Jukebox.read_stream: bad chunk";
-  with_drive t vol ~for_write:false (fun d ->
-      let deliver ~blk:cblk ~n =
-        Fault.check ~site:d.track Fault.Read;
-        t.rbytes <- t.rbytes + (n * t.prof.block_size);
-        f ~off:(cblk - blk) (Blockstore.read t.volumes.(vol) ~blk:cblk ~count:n)
-      in
-      Fault.check ~site:d.track Fault.Read;
-      position_and_transfer ~chunk ~on_chunk:deliver t d ~blk ~count
-        ~rate:t.prof.read_rate ~op:"read")
-
-(* Streaming read landing directly in [dst]: same model as
-   [read_stream], but each chunk's bytes are placed at their final
-   offset in the caller's buffer before the callback fires — the
+   [chunk] is placed at its final offset in [dst] and announced to [f]
+   the moment its last bus slice completes, and the fault plan is
+   consulted per chunk — so a media error can strike mid-transfer,
+   after a prefix of the data has already been handed over. The
    callback only learns where ([off], in blocks) and how much
-   ([blocks]), so a demand fetch can stage a whole cache line with a
-   single store→image copy. *)
+   ([blocks]), so a fetch stages a whole cache line with a single
+   store→image copy. *)
 let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream_into: bad volume";
   if chunk <= 0 then invalid_arg "Jukebox.read_stream_into: bad chunk";
@@ -345,17 +326,20 @@ let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f 
   if dst_off < 0 || dst_off + (count * bs) > Bytes.length dst then
     invalid_arg "Jukebox.read_stream_into: view outside buffer";
   with_drive t vol ~for_write:false (fun d ->
-      let deliver ~blk:cblk ~n =
-        Fault.check ~site:d.track Fault.Read;
-        t.rbytes <- t.rbytes + (n * bs);
-        let off = cblk - blk in
-        Blockstore.read_into t.volumes.(vol) ~blk:cblk ~count:n ~dst
-          ~dst_off:(dst_off + (off * bs));
-        f ~off ~blocks:n
-      in
       Fault.check ~site:d.track Fault.Read;
-      position_and_transfer ~chunk ~on_chunk:deliver t d ~blk ~count
-        ~rate:t.prof.read_rate ~op:"read")
+      let rec go off =
+        if off < count then begin
+          let n = min chunk (count - off) in
+          position_and_transfer t d ~blk:(blk + off) ~count:n ~rate:t.prof.read_rate ~op:"read";
+          Fault.check ~site:d.track Fault.Read;
+          t.rbytes <- t.rbytes + (n * bs);
+          Blockstore.read_into t.volumes.(vol) ~blk:(blk + off) ~count:n ~dst
+            ~dst_off:(dst_off + (off * bs));
+          f ~off ~blocks:n;
+          go (off + n)
+        end
+      in
+      go 0)
 
 let write t ~vol ~blk data =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write: bad volume";
@@ -375,7 +359,8 @@ let write t ~vol ~blk data =
    store mutates and the fault plan is consulted per chunk — a media
    error can strike at chunk k, leaving exactly the prefix written (a
    retry that rewrites the whole segment is safe on rewritable media;
-   WORM is pre-checked and must use the blocking path under retry).
+   WORM is pre-checked, so a WORM writer must move the segment as one
+   chunk to survive a retry).
    [await] runs before each chunk and may block holding the drive — the
    written-prefix watermark stall of a streaming write-out, which is how
    a real tape drive starves when the staging disk falls behind. *)
@@ -400,7 +385,7 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
           Blockstore.write_from t.volumes.(vol) ~blk:(blk + off) ~src
             ~src_off:(src_off + (off * bs))
             ~count:n;
-          position_and_transfer ~chunk t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
+          position_and_transfer t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
             ~op:"write";
           t.wbytes <- t.wbytes + (n * bs);
           f ~off ~blocks:n;
@@ -408,13 +393,6 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
         end
       in
       go 0 count)
-
-let write_stream t ~vol ~blk data ?chunk ?await f =
-  let len = Bytes.length data in
-  if len = 0 || len mod t.prof.block_size <> 0 then
-    invalid_arg "Jukebox.write_stream: length must be a positive multiple of block size";
-  write_stream_from t ~vol ~blk ~src:data ~src_off:0 ~count:(len / t.prof.block_size) ?chunk
-    ?await f
 
 let swaps t = t.n_swaps
 let swap_time_total t = t.swap_total

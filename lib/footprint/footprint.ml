@@ -88,13 +88,6 @@ let read_blocks t ~vol ~seg ~off ~count =
 
 let read_seg t ~vol ~seg = read_blocks t ~vol ~seg ~off:0 ~count:t.seg_blocks
 
-let read_seg_into t ~vol ~seg ~dst ~dst_off =
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.read_seg_into: bad segment";
-  timed t (fun () ->
-      Jukebox.read_into jb ~vol:v ~blk:(seg * t.seg_blocks) ~count:t.seg_blocks ~dst ~dst_off;
-      t.rbytes <- t.rbytes + (t.seg_blocks * t.block_size))
-
 let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
   let jb, v = locate t vol in
   if seg < 0 || seg >= real_segs t jb then
@@ -113,15 +106,6 @@ let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
         (fun ~off ~blocks ->
           t.rbytes <- t.rbytes + (blocks * t.block_size);
           f ~off:(start + off) ~blocks))
-
-let read_seg_stream t ~vol ~seg ?chunk f =
-  let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.read_seg_stream: bad segment";
-  timed t (fun () ->
-      Jukebox.read_stream jb ~vol:v ~blk:(seg * t.seg_blocks) ~count:t.seg_blocks ?chunk
-        (fun ~off data ->
-          t.rbytes <- t.rbytes + Bytes.length data;
-          f ~off data))
 
 let write_seg t ~vol ~seg data =
   if Bytes.length data <> t.seg_blocks * t.block_size then

@@ -42,10 +42,6 @@ val volume_loaded : t -> int -> bool
 val read_seg : t -> vol:int -> seg:int -> Bytes.t
 (** Fetches a whole segment image ([seg_blocks] blocks). *)
 
-val read_seg_into : t -> vol:int -> seg:int -> dst:Bytes.t -> dst_off:int -> unit
-(** {!read_seg} landing directly in the caller's buffer — the image
-    moves store→[dst] in one copy with no intermediate allocation. *)
-
 val read_seg_stream_into :
   t ->
   vol:int ->
@@ -56,19 +52,16 @@ val read_seg_stream_into :
   dst_off:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** {!read_seg_stream} landing directly in [dst]: each chunk is placed
-    at its final offset before the callback fires, which receives only
-    the chunk's position and length in blocks. With [off] > 0 only the
-    segment's suffix from that block is read — the tail re-fetch of a
-    partial cache line — but chunks still land at their final image
-    offsets and callback positions stay segment-absolute. *)
-
-val read_seg_stream :
-  t -> vol:int -> seg:int -> ?chunk:int -> (off:int -> Bytes.t -> unit) -> unit
-(** Like {!read_seg}, but delivers the segment in [chunk]-block pieces
-    as each crosses the drive's bus — [off] is the block offset within
-    the segment. Same simulated timing as {!read_seg}; a mid-transfer
-    media fault propagates after the already-delivered prefix. *)
+(** Reads a whole segment into [dst] in [chunk]-block pieces as each
+    crosses the drive's bus: each chunk is placed at its final offset
+    before the callback fires, which receives only the chunk's position
+    and length in blocks. A mid-transfer media fault propagates after
+    the already-delivered prefix. [chunk = seg_blocks] is the blocking
+    whole-segment read (same simulated timing — only the delivery grain
+    changes). With [off] > 0 only the segment's suffix from that block
+    is read — the tail re-fetch of a partial cache line — but chunks
+    still land at their final image offsets and callback positions stay
+    segment-absolute. *)
 
 val read_blocks : t -> vol:int -> seg:int -> off:int -> count:int -> Bytes.t
 (** Partial read within a segment (used by fsck-style tools; HighLight
@@ -97,9 +90,9 @@ val write_seg_stream_from :
     final callback fires as each chunk lands. *)
 
 val media_kind : t -> int -> Jukebox.media_kind
-(** Media kind of the jukebox holding the volume — WORM volumes must
-    take the blocking write-out path, since a mid-stream fault retry
-    would overwrite already-written blocks. *)
+(** Media kind of the jukebox holding the volume — write-outs to WORM
+    volumes move the segment as one chunk, since a mid-segment fault
+    retry would overwrite already-written blocks. *)
 
 val erase_volume : t -> int -> unit
 (** Support for the tertiary cleaner: reclaims a whole volume. *)

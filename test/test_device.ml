@@ -368,6 +368,45 @@ let test_jukebox_stream_into_identity () =
       check Alcotest.int "chunks cover request" count !covered;
       check Alcotest.bytes "streamed bytes identical" data (Bytes.sub dst bs (count * bs)))
 
+(* A stream's chunk sets its delivery, await and fault grain, never its
+   bus grain: a one-chunk segment transfer must share the SCSI bus with
+   a disk at the 64 KB slice grain, exactly as a 16-block stream does,
+   instead of holding it for the whole segment. *)
+let test_jukebox_stream_bus_grain () =
+  let count = 64 in
+  let finish_times ~write chunk =
+    let e = Sim.Engine.create () in
+    let jb_done = ref nan and disk_done = ref nan in
+    Sim.Engine.spawn e (fun () ->
+        let bus = Scsi_bus.create e "scsi0" in
+        let disk = Disk.create e ~bus Disk.rz57 ~name:"d" in
+        let jb =
+          Jukebox.create e ~bus ~drives:1 ~nvolumes:1 ~vol_capacity:2560
+            ~media:Jukebox.hp6300_platter ~changer:Jukebox.hp6300_changer "jb"
+        in
+        (* load the volume first: the swap hogs the bus *)
+        ignore (Jukebox.read jb ~vol:0 ~blk:0 ~count:1);
+        let buf = Bytes.make (count * 4096) 'w' in
+        Sim.Engine.spawn e (fun () ->
+            if write then
+              Jukebox.write_stream_from jb ~vol:0 ~blk:16 ~src:buf ~src_off:0 ~count ~chunk
+                (fun ~off:_ ~blocks:_ -> ())
+            else
+              Jukebox.read_stream_into jb ~vol:0 ~blk:16 ~count ~chunk ~dst:buf ~dst_off:0
+                (fun ~off:_ ~blocks:_ -> ());
+            jb_done := Sim.Engine.now e);
+        Sim.Engine.spawn e (fun () ->
+            ignore (Disk.read disk ~blk:0 ~count);
+            disk_done := Sim.Engine.now e));
+    Sim.Engine.run e;
+    (!jb_done, !disk_done)
+  in
+  let times = Alcotest.(pair (float 1e-9) (float 1e-9)) in
+  check times "stream write: one chunk shares the bus like 16-block chunks"
+    (finish_times ~write:true 16) (finish_times ~write:true count);
+  check times "stream read: one chunk shares the bus like 16-block chunks"
+    (finish_times ~write:false 16) (finish_times ~write:false count)
+
 let prop_concat_roundtrip =
   QCheck.Test.make ~name:"concat preserves data at any offset" ~count:60
     QCheck.(pair (int_range 0 140) (int_range 1 8))
@@ -467,6 +506,8 @@ let suite =
         Alcotest.test_case "read_into view identity" `Quick test_jukebox_read_into_identity;
         Alcotest.test_case "read_stream_into view identity" `Quick
           test_jukebox_stream_into_identity;
+        Alcotest.test_case "stream chunk keeps the 64 KB bus grain" `Quick
+          test_jukebox_stream_bus_grain;
       ] );
     ( "device.concat",
       [

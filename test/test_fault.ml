@@ -22,7 +22,8 @@ let in_sim_e f =
 let in_sim f = fst (in_sim_e f)
 let bytes_pattern n seed = Bytes.init n (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
 
-let make_world ?(nsegs = 64) ?(cache_segs = 12) ?(io_mode = State.Pipelined) engine =
+let make_world ?(nsegs = 64) ?(cache_segs = 12) ?(io_mode = State.Pipelined)
+    ?(media = Device.Jukebox.hp6300_platter) engine =
   let prm = Param.for_tests ~seg_blocks:16 ~nsegs () in
   let store =
     Device.Blockstore.create ~block_size:prm.Param.block_size
@@ -30,8 +31,8 @@ let make_world ?(nsegs = 64) ?(cache_segs = 12) ?(io_mode = State.Pipelined) eng
   in
   let jb =
     Device.Jukebox.create engine ~drives:2 ~nvolumes:4
-      ~vol_capacity:(8 * prm.Param.seg_blocks) ~media:Device.Jukebox.hp6300_platter
-      ~changer:Device.Jukebox.hp6300_changer "jb"
+      ~vol_capacity:(8 * prm.Param.seg_blocks) ~media ~changer:Device.Jukebox.hp6300_changer
+      "jb"
   in
   let fp = Footprint.create ~seg_blocks:prm.Param.seg_blocks ~segs_per_volume:8 [ jb ] in
   let hl = Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs ~io_mode () in
@@ -278,6 +279,52 @@ let run_all_drives_dead io_mode () =
     (Sim.Engine.blocked_process_names e);
   check Alcotest.int "blocked count" 0 (Sim.Engine.blocked_processes e)
 
+(* A write-out to a WORM volume moves its segment as one chunk, so a
+   media error on the tertiary write strikes before any block of the
+   segment is on the platter and the retry rewrites nothing: the ticket
+   reaches [Done], no Worm_overwrite escapes, and the data reads back
+   verbatim. With a 4-block stream chunk a rewritable volume would
+   stream, and a mid-segment retry on WORM would be an overwrite. Two
+   staged segments: op=1 tears the first write-out, op=2 the second. *)
+let run_worm_writeout_retry op () =
+  in_sim (fun engine ->
+      with_plan (fun () ->
+          let hl, _fp = make_world ~media:Device.Jukebox.sony_worm engine in
+          let st = Hl.state hl in
+          st.State.stream_chunk_blocks <- 4;
+          (* 14 data blocks: with the indirect block, two staged segments *)
+          let a = bytes_pattern (14 * 4096) 13 in
+          Hl.write_file hl "/a" a;
+          Fs.checkpoint (Hl.fs hl);
+          st.State.restrict_volume <- Some 0;
+          ignore (Migrator.stage_files_only st [ (Dir.namei (Hl.fs hl) "/a").Inode.inum ]);
+          let staged = ref [] in
+          Seg_cache.iter (Hl.cache hl) (fun l ->
+              if l.Seg_cache.state = Seg_cache.Staging then staged := l :: !staged);
+          check Alcotest.int "two staged segments" 2 (List.length !staged);
+          Sim.Fault.install engine ~metrics:(Hl.metrics hl)
+            (parse_ok (Printf.sprintf "jb:drive* write op=%d media_error transient" op));
+          let lines =
+            List.sort (fun x y -> compare x.Seg_cache.tindex y.Seg_cache.tindex) !staged
+          in
+          List.iter
+            (fun tk ->
+              match Service.await tk with
+              | State.Done -> ()
+              | State.Pending -> Alcotest.fail "write-out still pending"
+              | State.Rehomed t -> Alcotest.failf "write-out re-homed to tseg %d" t
+              | State.Failed msg -> Alcotest.failf "write-out failed: %s" msg)
+            (List.map (Service.request_writeout st) lines);
+          st.State.restrict_volume <- None;
+          let s = Hl.stats hl in
+          check Alcotest.int "the fault fired" 1 s.Hl.faults_injected;
+          check Alcotest.bool "the torn write was retried" true (s.Hl.io_retries >= 1);
+          check Alcotest.int "no failure surfaced" 0 s.Hl.io_failures;
+          Hl.eject_tertiary_copies hl ~paths:[ "/a" ];
+          check Alcotest.bool "reads back verbatim from the WORM copy" true
+            (Bytes.equal (Hl.read_file hl "/a" ()) a);
+          check (Alcotest.list Alcotest.string) "invariants" [] (Hl.check hl)))
+
 (* ---------- properties ---------- *)
 
 (* Whatever the seed and (bounded) fault rate, transient media errors
@@ -351,6 +398,10 @@ let suite =
           (run_all_drives_dead State.Pipelined);
         Alcotest.test_case "all drives dead: EIO + clean shutdown (serial)" `Quick
           (run_all_drives_dead State.Serial);
+        Alcotest.test_case "WORM write-out retries whole (op=1)" `Quick
+          (run_worm_writeout_retry 1);
+        Alcotest.test_case "WORM write-out retries whole (op=2)" `Quick
+          (run_worm_writeout_retry 2);
       ]
       @ List.map QCheck_alcotest.to_alcotest props );
   ]

@@ -429,6 +429,59 @@ let test_shutdown_drains io_mode () =
   check Alcotest.(list string) "no blocked processes" [] (Engine.blocked_process_names e);
   check Alcotest.int "blocked count" 0 (Engine.blocked_processes e)
 
+(* Shutdown inside the write-out handoff window: the producer has
+   popped the write-out and is reading its first chunk off a real disk,
+   so the write-out sits in no queue the drain can reach. The producer
+   must notice [stop_service] at the handoff and fail the write-out
+   itself (pipelined), or finish it in its one I/O process (serial) —
+   either way the ticket settles and nothing stays parked. *)
+let test_shutdown_mid_producer io_mode () =
+  let e = Engine.create () in
+  let outcome = ref None in
+  Engine.spawn e ~name:"test-main" (fun () ->
+      let open Highlight in
+      let prm = Lfs.Param.for_tests ~seg_blocks:16 ~nsegs:64 () in
+      let disk =
+        Device.Disk.create e ~nblocks:(Lfs.Layout.disk_blocks prm) Device.Disk.rz57 ~name:"rz57"
+      in
+      let jb =
+        Device.Jukebox.create e ~drives:2 ~nvolumes:4 ~vol_capacity:(8 * 16)
+          ~media:Device.Jukebox.hp6300_platter ~changer:Device.Jukebox.hp6300_changer "jb"
+      in
+      let fp = Footprint.create ~seg_blocks:16 ~segs_per_volume:8 [ jb ] in
+      let hl = Hl.mkfs e prm ~disk:(Lfs.Dev.of_disk disk) ~fp ~io_mode () in
+      let st = Hl.state hl in
+      (* 12 direct blocks: one staged segment *)
+      Hl.write_file hl "/f" (Test_service.bytes_pattern (12 * 4096) 4);
+      Lfs.Fs.checkpoint (Hl.fs hl);
+      ignore (Migrator.stage_files_only st [ (Lfs.Dir.namei (Hl.fs hl) "/f").Lfs.Inode.inum ]);
+      let line = ref None in
+      Seg_cache.iter (Hl.cache hl) (fun l ->
+          if l.Seg_cache.state = Seg_cache.Staging then line := Some l);
+      let reads = Device.Disk.reads disk in
+      let ticket = Service.request_writeout st (Option.get !line) in
+      (* the first chunk is the whole 64 KB segment: ~55 ms on the RZ57 *)
+      Engine.delay 0.01;
+      check Alcotest.bool "producer popped the write-out" true
+        (Metrics.value (Metrics.gauge (Hl.metrics hl) "diskq.depth") = 0.0);
+      check Alcotest.int "producer still mid-read" reads (Device.Disk.reads disk);
+      check Alcotest.bool "line still staging" true
+        ((Option.get !line).Seg_cache.state = Seg_cache.Staging);
+      Hl.shutdown_service hl;
+      outcome := Some (Service.await ticket, Device.Jukebox.bytes_written jb));
+  Engine.run e;
+  (match (io_mode, !outcome) with
+  | _, None -> Alcotest.fail "the ticket never settled"
+  | Highlight.State.Pipelined, Some (status, written) ->
+      check Alcotest.bool "write-out failed at the handoff" true
+        (match status with Highlight.State.Failed _ -> true | _ -> false);
+      check Alcotest.int "tertiary half never ran" 0 written
+  | Highlight.State.Serial, Some (status, _) ->
+      check Alcotest.bool "serial I/O process finished the write-out" true
+        (status = Highlight.State.Done));
+  check Alcotest.(list string) "no blocked processes" [] (Engine.blocked_process_names e);
+  check Alcotest.int "blocked count" 0 (Engine.blocked_processes e)
+
 let test_world_metrics () =
   let stats, m, _, _ = world_scenario Highlight.State.Pipelined ~traced:false () in
   check Alcotest.bool "demand fetches counted" true (stats.Highlight.Hl.demand_fetches > 0);
@@ -486,6 +539,10 @@ let suite =
           (test_shutdown_drains Highlight.State.Pipelined);
         Alcotest.test_case "shutdown drains (serial)" `Quick
           (test_shutdown_drains Highlight.State.Serial);
+        Alcotest.test_case "shutdown mid write-out read (pipelined)" `Quick
+          (test_shutdown_mid_producer Highlight.State.Pipelined);
+        Alcotest.test_case "shutdown mid write-out read (serial)" `Quick
+          (test_shutdown_mid_producer Highlight.State.Serial);
         Alcotest.test_case "demand fetch feeds metrics" `Quick test_world_metrics;
         Alcotest.test_case "demand fetch appears in trace" `Quick test_world_trace;
       ] );
