@@ -62,25 +62,24 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   in
   Segusage.set_cache_tag (Fs.seguse fsys) disk_seg tindex;
   let tbase = Addr_space.seg_base st.aspace tindex in
-  (* gather the payload with the migrator's raw disk access: the blocks
-     are read into private memory, not the buffer cache *)
-  let payload =
-    List.map
-      (fun (inum, bkey, addr) ->
-        let cache = Fs.bcache fsys in
-        let data =
-          match Bcache.find cache (inum, bkey) with
-          | Some d -> Bytes.copy d
-          | None -> Block_io.read_block_any st addr
-        in
-        (inum, bkey, addr, data))
-      blocks
-  in
+  (* the segment is assembled in a recycled buffer: summary block, then
+     data blocks, then inode blocks, then zeros *)
+  let image = take_image st in
+  (* gather the blocks with the migrator's raw disk access: each block
+     lands in its slot of the image, not in the buffer cache; a
+     buffer-cache hit is copied as it stands now *)
+  List.iteri
+    (fun i (inum, bkey, addr) ->
+      let dst_off = (1 + i) * bs in
+      match Bcache.find (Fs.bcache fsys) (inum, bkey) with
+      | Some d -> Bytes.blit d 0 image dst_off bs
+      | None -> Block_io.read_block_into st addr ~dst:image ~dst_off)
+    blocks;
   (* re-verify and re-aim pointers; blocks that moved while we were
      reading are left as dead slots in the staging segment *)
   let live =
     List.filteri
-      (fun i (inum, bkey, addr, _) ->
+      (fun i (inum, bkey, addr) ->
         match Fs.get_inode fsys inum with
         | exception Not_found -> false
         | ino ->
@@ -89,7 +88,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
             &&
             (Fs.repoint fsys ino bkey (tbase + 1 + i);
              true))
-      payload
+      blocks
   in
   (* optionally pack the fully-migrated inodes right into the segment *)
   let ipb = Inode.per_block ~block_size:bs in
@@ -99,7 +98,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
         match Fs.get_inode fsys inum with exception Not_found -> false | _ -> true)
       inode_set
   in
-  let ndata = List.length payload in
+  let ndata = List.length blocks in
   let rec pack_inode_blocks acc next = function
     | [] -> List.rev acc
     | batch ->
@@ -109,18 +108,13 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   let inode_blocks = pack_inode_blocks [] ndata inodes_to_pack in
   if 1 + ndata + List.length inode_blocks > sgb then
     invalid_arg "Migrator.stage_segment: overfull segment";
-  (* assemble the image: summary, data blocks, inode blocks *)
   let nblocks_total = ndata + List.length inode_blocks in
-  let data_area = Bytes.create (nblocks_total * bs) in
-  List.iteri
-    (fun i (_, _, _, data) -> Bytes.blit data 0 data_area (i * bs) bs)
-    payload;
   List.iter
     (fun (slot, inums) ->
       let taddr = tbase + 1 + slot in
       let inos = List.map (Fs.get_inode fsys) inums in
       let block = Inode.pack_block ~block_size:bs inos in
-      Bytes.blit block 0 data_area (slot * bs) bs;
+      Bytes.blit block 0 image ((1 + slot) * bs) bs;
       List.iter
         (fun inum ->
           let e = Imap.get (Fs.imap fsys) inum in
@@ -130,36 +124,39 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
           st.inodes_migrated <- st.inodes_migrated + 1)
         inums)
     inode_blocks;
-  let live_payload = List.map (fun (i, b, a, _) -> (i, b, a)) payload in
   let summary =
     {
       Summary.ss_next = -1;
       ss_create = Sim.Engine.now st.engine;
       ss_serial = Fs.serial fsys;
       ss_flags = 1 (* tertiary segment marker *);
-      finfos = finfos_of fsys live_payload;
+      finfos = finfos_of fsys blocks;
       inode_addrs = List.map (fun (slot, _) -> tbase + 1 + slot) inode_blocks;
     }
   in
+  let data_end = (1 + nblocks_total) * bs in
+  Bytes.fill image data_end ((sgb * bs) - data_end) '\000';
   let sum_block =
-    Summary.serialize ~block_size:bs ~data_crc:(Util.Crc32.bytes data_area) summary
+    Summary.serialize ~block_size:bs
+      ~data_crc:(Util.Crc32.bytes ~off:bs ~len:(nblocks_total * bs) image)
+      summary
   in
-  let image = Bytes.make (sgb * bs) '\000' in
   Bytes.blit sum_block 0 image 0 bs;
-  Bytes.blit data_area 0 image bs (Bytes.length data_area);
   Fs.charge_copy fsys (Bytes.length image);
   Block_io.raw_write_cache_line st ~disk_seg image;
+  (* the disk store copied the bytes before the write returned *)
+  recycle_image st image;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.mapi
-       (fun i (inum, bkey, _, _) ->
+       (fun i (inum, bkey, _) ->
          Staged_block { sb_inum = inum; sb_bkey = bkey; sb_taddr = tbase + 1 + i })
-       payload
+       blocks
     @ List.map
         (fun (slot, inums) -> Staged_inode_block { si_taddr = tbase + 1 + slot; si_inums = inums })
         inode_blocks);
   Hl_log.Log.debug (fun m ->
-      m "staged tseg %d: %d blocks (%d live), %d inodes" tindex (List.length payload)
+      m "staged tseg %d: %d blocks (%d live), %d inodes" tindex (List.length blocks)
         (List.length live)
         (List.length inodes_to_pack));
   st.blocks_migrated <- st.blocks_migrated + List.length live;

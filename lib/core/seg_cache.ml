@@ -12,6 +12,8 @@ type line = {
       (* the in-memory segment buffer of a recent fetch; block reads are
          served from it (a copy, no disk pass) while it lives. The
          service layer bounds how many images stay attached. *)
+  mutable wo_buf : Bytes.t option;
+      (* the buffer of the in-flight write-out, if any *)
   mutable valid_blocks : int;
       (* streaming-fetch watermark: the first [valid_blocks] blocks of
          [image] hold real data. Full (= seg_blocks) once the tertiary
@@ -112,6 +114,7 @@ let insert t ~tindex ~disk_seg ~state ~now =
       fetched_at = now;
       worthy = false;
       image = None;
+      wo_buf = None;
       valid_blocks = 0;
       prefetched = false;
       idle_hint = false;

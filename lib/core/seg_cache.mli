@@ -35,6 +35,13 @@ type line = {
           served from it without a disk pass while it lives (double
           buffering, paper §6.7); the service layer bounds how many
           stay attached *)
+  mutable wo_buf : Bytes.t option;
+      (** the segment buffer of the line's in-flight write-out: the
+          cache-disk read fills it and the tertiary write drains it.
+          Set when the service dispatches the write-out; cleared when
+          the write-out completes (the buffer goes back to
+          [State.free_images]) or fails (the garbage collector takes
+          it). *)
   mutable valid_blocks : int;
       (** streaming-fetch watermark: how many leading blocks of [image]
           hold real data. A streaming fetch advances it chunk by chunk

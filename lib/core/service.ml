@@ -254,23 +254,22 @@ let pick_source st tindex =
 
 type fetch_ctx = { f_line : Seg_cache.line; f_urgent : bool; f_enqueued : float }
 
-(* Shared state of one write-out: the cache-disk producer fills [w_buf]
-   front to back in [w_chunk]-block pieces, advancing the [w_read]
-   watermark and broadcasting [w_avail]; the tertiary consumer's
-   per-chunk [await] blocks until the watermark covers the chunk it is
-   about to put on the media. A permanent disk-side failure after the
-   handoff parks in [w_failed] — the consumer surfaces it at its next
-   await, so the write-out fails exactly once, from the worker that
-   owns its ledger. *)
+(* Shared state of one write-out: the cache-disk producer fills the
+   line's [wo_buf] front to back in [w_chunk]-block pieces, advancing
+   the [w_read] watermark and broadcasting [w_avail]; the tertiary
+   consumer's per-chunk [await] blocks until the watermark covers the
+   chunk it is about to put on the media. A permanent disk-side failure
+   after the handoff parks in [w_failed] — the consumer surfaces it at
+   its next await, so the write-out fails exactly once, from the worker
+   that owns its ledger. *)
 type wo_ctx = {
   w_line : Seg_cache.line;
   w_status : writeout_status ref;
   w_done : Sim.Condvar.t;
-  w_buf : Bytes.t;
   w_chunk : int;
       (** producer and consumer grain; [seg_blocks] makes the copy-out
           the paper's blocking read-then-write *)
-  mutable w_read : int;  (** blocks of [w_buf] holding real data *)
+  mutable w_read : int;  (** blocks of [wo_buf] holding real data *)
   w_avail : Sim.Condvar.t;
   mutable w_failed : string option;
 }
@@ -286,11 +285,11 @@ let writeout_ctx st ~serial line status done_cv =
     if serial || Footprint.media_kind st.fp vol = Device.Jukebox.Worm then seg_blocks st
     else max 1 st.stream_chunk_blocks
   in
+  line.Seg_cache.wo_buf <- Some (take_image st);
   {
     w_line = line;
     w_status = status;
     w_done = done_cv;
-    w_buf = Bytes.create (seg_blocks st * Footprint.block_size st.fp);
     w_chunk = chunk;
     w_read = 0;
     w_avail = Sim.Condvar.create ();
@@ -407,8 +406,11 @@ let abort_stream ctx msg =
   if ctx.w_failed = None then ctx.w_failed <- Some msg;
   Sim.Condvar.broadcast ctx.w_avail
 
+(* A half still running keeps its own handle on the buffer; the line
+   lets go of it at once. *)
 let fail_writeout st ctx msg =
   abort_stream ctx msg;
+  ctx.w_line.Seg_cache.wo_buf <- None;
   fail_writeout_request st ctx.w_line ctx.w_status ctx.w_done msg
 
 (* Bracket one device phase with the Table 4 busy-time accounting, on
@@ -478,7 +480,7 @@ let fetch_read st ctx =
                 match line.Seg_cache.image with
                 | Some img -> img (* retry: keep buffer and watermark *)
                 | None ->
-                    let img = Bytes.create (seg_blocks st * Footprint.block_size st.fp) in
+                    let img = take_image st in
                     line.Seg_cache.image <- Some img;
                     img
               in
@@ -510,13 +512,25 @@ let fetch_read st ctx =
    single-block reads against a disk whose arm is also landing fetched
    segments would pay a seek + rotation each. Only the newest
    [pipeline width] buffers stay attached (the double buffers of §6.7);
-   beyond that the disk copy serves. *)
+   beyond that the disk copy serves.
+
+   A dropped image is recycled only when nothing else can reach it: the
+   line is still [Resident] (an evicted line's image is already gone)
+   and is not queued again behind this entry. Readers copy out of an
+   image without yielding, so none holds it across the drop. *)
 let attach_image st line image =
   line.Seg_cache.image <- Some image;
   Queue.add line st.image_fifo;
-  let depth = 2 * (max 1 (Footprint.ndrives st.fp) + 1) in
+  let depth = image_fifo_depth st in
   while Queue.length st.image_fifo > depth do
-    (Queue.pop st.image_fifo).Seg_cache.image <- None
+    let old = Queue.pop st.image_fifo in
+    (match old.Seg_cache.image with
+    | Some img
+      when old.Seg_cache.state = Seg_cache.Resident
+           && not (Queue.fold (fun queued l -> queued || l == old) false st.image_fifo) ->
+        recycle_image st img
+    | _ -> ());
+    old.Seg_cache.image <- None
   done
 
 (* Fetch phase B (cache-disk worker): land the image in the cache line
@@ -563,9 +577,13 @@ let fetch_write st ctx image =
       Ok ()
 
 (* Write-out completion: publish the staged line as clean, settle the
-   ticket, close the books. *)
+   ticket, close the books. The whole segment is on the media, so the
+   producer has read its last chunk and the consumer written it: the
+   buffer is free. *)
 let writeout_done st ctx =
   let line = ctx.w_line in
+  Option.iter (recycle_image st) line.Seg_cache.wo_buf;
+  line.Seg_cache.wo_buf <- None;
   line.Seg_cache.state <- Seg_cache.Staged_clean;
   st.writeouts <- st.writeouts + 1;
   (* the manifest existed for end-of-medium re-homing; the copy is
@@ -601,6 +619,7 @@ exception Stream_aborted of string
    this is the blocking read-then-write. *)
 let writeout_read st ctx ~handoff =
   let line = ctx.w_line in
+  let buf = Option.get line.Seg_cache.wo_buf in
   let total = seg_blocks st in
   let read_upto upto =
     with_retries st ~what:"writeout:disk-read" (fun () ->
@@ -612,7 +631,7 @@ let writeout_read st ctx ~handoff =
                 let bs = st.disk.Lfs.Dev.block_size in
                 while ctx.w_read < upto && ctx.w_failed = None do
                   let n = min ctx.w_chunk (upto - ctx.w_read) in
-                  st.disk.Lfs.Dev.read_into ~blk:(base + ctx.w_read) ~count:n ~dst:ctx.w_buf
+                  st.disk.Lfs.Dev.read_into ~blk:(base + ctx.w_read) ~count:n ~dst:buf
                     ~dst_off:(ctx.w_read * bs);
                   ctx.w_read <- ctx.w_read + n;
                   Sim.Condvar.broadcast ctx.w_avail
@@ -638,6 +657,7 @@ let writeout_read st ctx ~handoff =
    category whatever the chunk. *)
 let writeout_write st ctx =
   let line = ctx.w_line in
+  let buf = Option.get line.Seg_cache.wo_buf in
   let rec attempt () =
     let vol, seg = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
     match
@@ -648,7 +668,7 @@ let writeout_write st ctx =
                   [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
                 (fun () ->
                   Footprint.write_seg_stream_from st.fp ~vol ~seg ~chunk:ctx.w_chunk
-                    ~src:ctx.w_buf ~src_off:0
+                    ~src:buf ~src_off:0
                     ~await:(fun ~off ~blocks ->
                       while ctx.w_read < off + blocks && ctx.w_failed = None do
                         (* the stall is part of the tertiary phase: the

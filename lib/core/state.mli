@@ -126,8 +126,18 @@ type t = {
   mutable io_mode : io_mode;  (** consulted once, by {!Service.spawn} *)
   image_fifo : Seg_cache.line Queue.t;
       (** fetched lines whose in-memory segment buffer is still attached
-          ([Seg_cache.line.image]); {!Service} keeps its depth at the
-          pipeline width — the "double buffers" of §6.7 *)
+          ([Seg_cache.line.image]); {!Service} keeps its depth at
+          {!image_fifo_depth}, the pipeline width — the "double buffers"
+          of §6.7 *)
+  free_images : Bytes.t Stack.t;
+      (** segment-sized buffers nobody references any more, handed out
+          again by {!take_image}; at most {!image_fifo_depth} plus the
+          number of drives. A fetch image comes back only when
+          [image_fifo] drops it from a line that is still [Resident]
+          and not queued again; a write-out buffer when the write-out
+          completes; the migrator's staging image once the cache-disk
+          write has copied it. Failed, [Partial] and evicted lines
+          never return theirs. *)
   cache_progress : Sim.Condvar.t;
       (** broadcast whenever a cache line may have become obtainable:
           eviction, segment release, pin release, transfer completion *)
@@ -191,6 +201,20 @@ val seg_blocks : t -> int
 val disk_seg_base : t -> int -> int
 (** Physical address of a disk log segment (same formula as
     [Lfs.Layout.seg_base]). *)
+
+val image_fifo_depth : t -> int
+(** How many fetched images stay attached: two per tertiary drive plus
+    two for the cache-disk worker. *)
+
+val take_image : t -> Bytes.t
+(** A segment-sized buffer off [free_images], or a fresh one when the
+    list is empty. Its contents are stale: the caller overwrites every
+    byte it exposes (fetches publish only below
+    [Seg_cache.line.valid_blocks]). *)
+
+val recycle_image : t -> Bytes.t -> unit
+(** Puts a segment buffer that nothing references any more on
+    [free_images]; past the cap the garbage collector takes it. *)
 
 val next_tseg : t -> int
 (** Allocates the next free tertiary segment at the cursor, skipping

@@ -469,9 +469,117 @@ let prop_jukebox_roundtrip =
           Jukebox.write jb ~vol ~blk data;
           Bytes.equal data (Jukebox.read jb ~vol ~blk ~count)))
 
+(* Blockstore against a per-block reference model: random write_from /
+   read_into / erase_block / erase / copy sequences on devices smaller
+   than one 16-block extent, of a size that is not a multiple of 16,
+   and of whole extents, with ranges biased to straddle extent
+   boundaries. Every copy taken along the way must keep matching the
+   model as it stood when it was taken. *)
+type store_op =
+  | S_write of int * int * int  (** blk, count, fill seed *)
+  | S_read of int * int
+  | S_erase_block of int
+  | S_erase
+  | S_copy
+
+let pp_store_op = function
+  | S_write (b, c, x) -> Printf.sprintf "write %d+%d #%d" b c x
+  | S_read (b, c) -> Printf.sprintf "read %d+%d" b c
+  | S_erase_block b -> Printf.sprintf "erase_block %d" b
+  | S_erase -> "erase"
+  | S_copy -> "copy"
+
+let gen_store_case =
+  QCheck.Gen.(
+    oneofl [ 1; 5; 15; 16; 17; 37; 48 ] >>= fun nblocks ->
+    let start =
+      frequency
+        [
+          (1, int_bound (nblocks - 1));
+          (* within three blocks of an extent boundary *)
+          ( 2,
+            map2
+              (fun k d -> max 0 (min (nblocks - 1) ((16 * k) + d)))
+              (int_bound (nblocks / 16)) (int_range (-3) 3) );
+        ]
+    in
+    let range =
+      start >>= fun blk ->
+      int_range 1 (min 36 (nblocks - blk)) >|= fun count -> (blk, count)
+    in
+    let op =
+      frequency
+        [
+          (5, map2 (fun (b, c) x -> S_write (b, c, x)) range (int_bound 250));
+          (4, map (fun (b, c) -> S_read (b, c)) range);
+          (3, map (fun b -> S_erase_block b) (int_range (-1) nblocks));
+          (1, return S_erase);
+          (1, return S_copy);
+        ]
+    in
+    list_size (int_range 1 40) op >|= fun ops -> (nblocks, ops))
+
+let prop_blockstore_model =
+  QCheck.Test.make ~name:"blockstore extents match a per-block model" ~count:300
+    (QCheck.make gen_store_case ~print:(fun (n, ops) ->
+         Printf.sprintf "%d blocks: %s" n (String.concat "; " (List.map pp_store_op ops))))
+    (fun (nblocks, ops) ->
+      let bs = 8 in
+      let s = Blockstore.create ~block_size:bs ~nblocks in
+      let model = Array.make nblocks None in
+      let copies = ref [] in
+      let agrees s model =
+        let whole = Bytes.make ((nblocks * bs) + 6) '#' in
+        Blockstore.read_into s ~blk:0 ~count:nblocks ~dst:whole ~dst_off:3;
+        Bytes.sub_string whole 0 3 = "###"
+        && Bytes.sub_string whole ((nblocks * bs) + 3) 3 = "###"
+        && Blockstore.written_blocks s
+           = Array.fold_left (fun n b -> if b = None then n else n + 1) 0 model
+        && (not (Blockstore.is_written s (-1)))
+        && (not (Blockstore.is_written s nblocks))
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i b ->
+                  Blockstore.is_written s i = (b <> None)
+                  && Bytes.sub whole (3 + (i * bs)) bs
+                     = Option.value b ~default:(Bytes.make bs '\000'))
+                model)
+      in
+      let step = function
+        | S_write (blk, count, x) ->
+            (* a view in the middle of a larger buffer *)
+            let src = Bytes.init ((count + 2) * bs) (fun i -> Char.chr ((x + (i * 7)) land 0xff)) in
+            Blockstore.write_from s ~blk ~src ~src_off:bs ~count;
+            for i = 0 to count - 1 do
+              model.(blk + i) <- Some (Bytes.sub src ((i + 1) * bs) bs)
+            done;
+            true
+        | S_read (blk, count) ->
+            let dst = Blockstore.read s ~blk ~count in
+            let ok = ref true in
+            for i = 0 to count - 1 do
+              let want = Option.value model.(blk + i) ~default:(Bytes.make bs '\000') in
+              if Bytes.sub dst (i * bs) bs <> want then ok := false
+            done;
+            !ok
+        | S_erase_block blk ->
+            Blockstore.erase_block s blk;
+            if blk >= 0 && blk < nblocks then model.(blk) <- None;
+            true
+        | S_erase ->
+            Blockstore.erase s;
+            Array.fill model 0 nblocks None;
+            true
+        | S_copy ->
+            copies := (Blockstore.copy s, Array.copy model) :: !copies;
+            true
+      in
+      List.for_all (fun op -> step op && agrees s model) ops
+      && List.for_all (fun (c, m) -> agrees c m) !copies)
+
 let props =
   [ prop_concat_roundtrip; prop_stripe_locate_bijective; prop_seek_monotone;
-    prop_jukebox_roundtrip ]
+    prop_jukebox_roundtrip; prop_blockstore_model ]
 
 let suite =
   [
