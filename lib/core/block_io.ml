@@ -140,7 +140,6 @@ let rec tertiary_read st ~blk ~count =
           (Sim.Metrics.counter st.metrics "cache.tail_refetch_blocks");
         if Obs.Decision.enabled () then
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
-        st.demand_fetches <- st.demand_fetches + 1;
         st.on_fetch_start tindex;
         line.Seg_cache.failed <- None;
         line.Seg_cache.state <- Seg_cache.Fetching;
@@ -200,7 +199,6 @@ let rec tertiary_read st ~blk ~count =
          observatory's migration-mistake / eviction-regret signal *)
       if Obs.Decision.enabled () then
         Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:true tindex;
-      st.demand_fetches <- st.demand_fetches + 1;
       (* tell the notification agent the caller is in for a wait *)
       st.on_fetch_start tindex;
       let line =

@@ -332,7 +332,7 @@ let stats t =
   let pf_used = count "prefetch.used" in
   let pf_wasted = count "prefetch.dropped" + count "prefetch.evicted_unused" in
   {
-    demand_fetches = st.State.demand_fetches;
+    demand_fetches = count "service.demand_fetches_submitted";
     writeouts = st.State.writeouts;
     rehomes = st.State.rehomes;
     fetch_wait = st.State.fetch_wait;
@@ -356,7 +356,7 @@ let stats t =
     idle_prefetches_issued = count "idle.issued";
     idle_prefetches_preempted = count "idle.preempted";
     idle_prefetches_wasted = count "idle.evicted_unused";
-    prefetches_dropped = st.State.prefetches_dropped;
+    prefetches_dropped = count "prefetch.dropped";
     prefetches_used = pf_used;
     prefetches_wasted = pf_wasted;
     prefetch_accuracy =
@@ -390,7 +390,6 @@ let stats t =
 
 let reset_stats t =
   let st = t.st in
-  st.State.demand_fetches <- 0;
   st.State.writeouts <- 0;
   st.State.rehomes <- 0;
   st.State.fetch_wait <- 0.0;
@@ -403,7 +402,6 @@ let reset_stats t =
   st.State.wo_tertiary_time <- 0.0;
   st.State.wo_union_time <- 0.0;
   st.State.wo_busy_since <- Sim.Engine.now st.State.engine;
-  st.State.prefetches_dropped <- 0;
   st.State.blocks_migrated <- 0;
   st.State.bytes_migrated <- 0;
   st.State.segments_staged <- 0;

@@ -103,7 +103,8 @@ val set_streaming_fetch : t -> bool -> unit
     the same read; [false] reads the segment as one chunk and publishes
     nothing before the landing. Write-outs have no such toggle: they
     always stream at [State.stream_chunk_blocks], except one-chunk
-    (blocking) write-outs to WORM volumes and in [Serial] mode. *)
+    (blocking) write-outs to WORM volumes and in [Serial] mode, which
+    also admits only one fetch or write-out at a time. *)
 
 val set_idle_readahead : t -> bool -> unit
 (** Default [false]: when enabled, a tertiary worker running out of
@@ -136,6 +137,8 @@ val read_file : t -> string -> ?off:int -> ?len:int -> unit -> Bytes.t
 
 type stats = {
   demand_fetches : int;
+      (** Demand fetches submitted, tail re-fetches of Partial lines
+          included (["service.demand_fetches_submitted"]). *)
   writeouts : int;
   rehomes : int;
   fetch_wait : float;
@@ -171,7 +174,8 @@ type stats = {
       (** Idle-prefetched lines evicted or failed without ever being
           demanded (["idle.evicted_unused"]). *)
   prefetches_dropped : int;
-      (** Prefetches cancelled because no cache line was available. *)
+      (** Prefetches cancelled because no cache line was available
+          (["prefetch.dropped"]). *)
   prefetches_used : int;
       (** Prefetched lines demanded before eviction (["prefetch.used"]). *)
   prefetches_wasted : int;

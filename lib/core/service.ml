@@ -277,8 +277,8 @@ type wo_ctx = {
 (* One chunk per segment where streaming must not or cannot overlap:
    WORM media (a mid-segment fault retry would rewrite blocks already
    on the platter, which the volume rejects as an overwrite) and the
-   [serial] baseline, whose one I/O process runs the producer before
-   the consumer anyway. *)
+   [serial] baseline, which reads the whole segment before writing it,
+   as the paper's one I/O process did. *)
 let writeout_ctx st ~serial line status done_cv =
   let vol, _ = Addr_space.vol_seg_of_tindex st.aspace line.Seg_cache.tindex in
   let chunk =
@@ -358,14 +358,17 @@ let fail_fetch st line msg =
     if line.Seg_cache.idle_hint then
       Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.evicted_unused")
     else st.on_prefetch_wasted line.Seg_cache.tindex;
-  if line.Seg_cache.disk_seg >= 0 then
+  if line.Seg_cache.disk_seg >= 0 then begin
     Lfs.Fs.release_segment (fs st) line.Seg_cache.disk_seg;
+    (* a released number must not stay on the line: a second failure
+       would release it again *)
+    line.Seg_cache.disk_seg <- -1
+  end;
   if
     line.Seg_cache.valid_blocks > 0
     && line.Seg_cache.state = Seg_cache.Fetching
     && not st.stop_service
   then begin
-    line.Seg_cache.disk_seg <- -1;
     line.Seg_cache.state <- Seg_cache.Partial;
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "cache.partial_lines")
   end
@@ -970,20 +973,41 @@ let cancel_prefetch st line =
   if line.Seg_cache.idle_hint then
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "idle.preempted")
   else begin
-    st.prefetches_dropped <- st.prefetches_dropped + 1;
     Sim.Metrics.incr (Sim.Metrics.counter st.metrics "prefetch.dropped");
     if line.Seg_cache.prefetched then st.on_prefetch_wasted line.Seg_cache.tindex
   end;
   Sim.Condvar.broadcast line.Seg_cache.ready
 
-(* The pipelined service/I-O machinery (paper §11's "overlapping the
-   phases"): a dispatcher that never blocks on a transfer, one tertiary
-   worker per jukebox drive, and a cache-disk worker. Segment N's
-   cache-disk write overlaps segment N+1's tertiary read because the
-   two phases run in different processes connected by a queue; each
-   in-flight segment owns its buffer, and the number of buffers is
-   bounded by the cache lines the dispatcher can allocate. *)
-let spawn_pipelined st =
+(* A fetch has settled once its line is no longer the one in flight:
+   landed (no longer [Fetching]), or failed, which always takes the line
+   off the disk segment it was dispatched to ([fail_fetch] resets
+   [disk_seg]). A reader past the watermark may flip a [Partial] line
+   straight back to [Fetching] for a tail re-fetch before this check
+   runs, so leaving the segment is what counts. *)
+let fetch_settled line seg =
+  line.Seg_cache.state <> Seg_cache.Fetching || line.Seg_cache.disk_seg <> seg
+
+(* A write-out has settled once its ticket failed or its line is no
+   longer [Staging]. [Rehomed] is not enough: end-of-medium sets it and
+   then writes the segment again on the next volume. *)
+let writeout_settled line status =
+  match !status with Failed _ -> true | _ -> line.Seg_cache.state <> Seg_cache.Staging
+
+(* The service/I-O machinery: a dispatcher, one tertiary worker per
+   jukebox drive, and a cache-disk worker. Segment N's cache-disk write
+   overlaps segment N+1's tertiary read because the two phases run in
+   different processes connected by a queue; each in-flight segment
+   owns its buffer, and the number of buffers is bounded by the cache
+   lines the dispatcher can allocate.
+
+   [io_mode] sets the dispatcher's admission window. [Pipelined] (paper
+   §11's "overlapping the phases") never blocks on a transfer. [Serial]
+   admits one request and waits for it to settle before taking the
+   next, and moves each write-out as one chunk: the paper's measured
+   one-request-at-a-time configuration, whose phases Table 4 breaks
+   down. *)
+let spawn st =
+  let serial = st.io_mode = Serial in
   let tq = tq_create () in
   let dq = dq_create () in
   (* tertiary workers: the jukebox model arbitrates drives and the robot,
@@ -1122,12 +1146,17 @@ let spawn_pipelined st =
         end
       in
       loop ());
+  (* demand fetches and write-outs overtake queued prefetches: a reader
+     must never stall behind speculative work *)
+  let urgent : request Queue.t = Queue.create () in
+  let background : request Queue.t = Queue.create () in
   (* requests whose cache-line allocation failed; retried on progress *)
   let starved : (Seg_cache.line * float) Queue.t = Queue.create () in
   let poke_pending = ref false in
   (* the poker turns cache-progress events into service-queue messages,
-     so the dispatcher has a single block point (Mailbox.recv) and never
-     needs to poll *)
+     so the dispatcher never polls: it blocks in Mailbox.recv for work
+     and, in [Serial] only, on [cache_progress] inside [admit] while the
+     admitted request settles *)
   Sim.Engine.spawn st.engine ~name:"hl-progress" (fun () ->
       let rec loop () =
         Sim.Condvar.wait st.cache_progress;
@@ -1141,8 +1170,18 @@ let spawn_pipelined st =
       in
       loop ());
   Sim.Engine.spawn st.engine ~name:"hl-service" (fun () ->
-      (* allocate a line and hand the fetch to the tertiary pool; false
-         if no line is obtainable right now *)
+      (* [Serial]'s window of one: every way a request settles also
+         broadcasts [cache_progress] *)
+      let admit settled =
+        if serial then
+          while not (st.stop_service || settled ()) do
+            Sim.Condvar.wait st.cache_progress
+          done
+      in
+      (* allocate a disk segment and hand the fetch to the tertiary
+         pool, returning it; None if no segment is obtainable right now.
+         Never blocks: the caller owns the request again before [admit]
+         waits, so a shutdown mid-wait finds it in no queue. *)
       let dispatch_fetch ~urgent line enqueued =
         match try_allocate st with
         | Some seg ->
@@ -1152,26 +1191,31 @@ let spawn_pipelined st =
             Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
             tq_push_fetch st tq { f_line = line; f_urgent = urgent; f_enqueued = enqueued };
-            true
-        | None -> false
+            Some seg
+        | None -> None
       in
       let retry_starved () =
         let rec go () =
           match Queue.peek_opt starved with
-          | Some (line, enqueued) when dispatch_fetch ~urgent:true line enqueued ->
-              ignore (Queue.pop starved);
-              go ()
+          | Some (line, enqueued) when not st.stop_service -> (
+              match dispatch_fetch ~urgent:true line enqueued with
+              | Some seg ->
+                  ignore (Queue.pop starved);
+                  admit (fun () -> fetch_settled line seg);
+                  go ()
+              | None -> ())
           | _ -> ()
         in
         go ()
       in
-      let rec loop () =
-        (match Sim.Mailbox.recv st.service_mb with
+      let serve = function
         | Fetch { line; _ } when st.stop_service -> fail_fetch st line "service stopped"
-        | Fetch { line; enqueued; is_prefetch } ->
-            if not (dispatch_fetch ~urgent:(not is_prefetch) line enqueued) then
-              if is_prefetch then cancel_prefetch st line
-              else Queue.add (line, enqueued) starved
+        | Fetch { line; enqueued; is_prefetch } -> (
+            match dispatch_fetch ~urgent:(not is_prefetch) line enqueued with
+            | Some seg -> admit (fun () -> fetch_settled line seg)
+            | None ->
+                if is_prefetch then cancel_prefetch st line
+                else Queue.add (line, enqueued) starved)
         | Writeout { line; status; done_cv; _ } when st.stop_service ->
             fail_writeout_request st line status done_cv "service stopped"
         | Writeout { line; enqueued; status; done_cv } ->
@@ -1181,11 +1225,30 @@ let spawn_pipelined st =
             Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
             (* the producer starts; it queues the tertiary half once
                its first chunk has landed *)
-            dq_push st dq ~urgent:false
-              (D_writeout (writeout_ctx st ~serial:false line status done_cv))
+            dq_push st dq ~urgent:false (D_writeout (writeout_ctx st ~serial line status done_cv));
+            admit (fun () -> writeout_settled line status)
         | Progress ->
             poke_pending := false;
-            retry_starved ());
+            retry_starved ()
+      in
+      let classify = function
+        | Fetch { is_prefetch = true; _ } as r -> Queue.add r background
+        | r -> Queue.add r urgent
+      in
+      let rec loop () =
+        if Queue.is_empty urgent && Queue.is_empty background then
+          classify (Sim.Mailbox.recv st.service_mb);
+        let rec drain () =
+          match Sim.Mailbox.try_recv st.service_mb with
+          | Some r ->
+              classify r;
+              drain ()
+          | None -> ()
+        in
+        drain ();
+        (match Queue.take_opt urgent with
+        | Some r -> serve r
+        | None -> Option.iter serve (Queue.take_opt background));
         if not st.stop_service then loop ()
       in
       loop ());
@@ -1217,165 +1280,32 @@ let spawn_pipelined st =
     Queue.clear dq.dq_normal;
     Queue.iter (fun (line, _) -> fail_fetch st line abort) starved;
     Queue.clear starved;
+    let abort_request = function
+      | Fetch { line; _ } -> fail_fetch st line abort
+      | Writeout { line; status; done_cv; _ } ->
+          fail_writeout_request st line status done_cv abort
+      | Progress -> ()
+    in
+    Queue.iter abort_request urgent;
+    Queue.clear urgent;
+    Queue.iter abort_request background;
+    Queue.clear background;
     let rec drain_mb () =
       match Sim.Mailbox.try_recv st.service_mb with
-      | Some (Fetch { line; _ }) ->
-          fail_fetch st line abort;
+      | Some r ->
+          abort_request r;
           drain_mb ()
-      | Some (Writeout { line; status; done_cv; _ }) ->
-          fail_writeout_request st line status done_cv abort;
-          drain_mb ()
-      | Some Progress -> drain_mb ()
       | None -> ()
     in
     drain_mb ();
-    (* wake every parked worker so it can exit: the dispatcher blocks in
-       Mailbox.recv, so it gets a message rather than a broadcast *)
+    (* wake every parked worker so it can exit: the dispatcher blocked in
+       Mailbox.recv gets a message; in [Serial] it may instead wait in
+       [admit], which the [cache_progress] broadcast wakes *)
     Sim.Mailbox.send st.service_mb Progress;
     Sim.Condvar.broadcast tq.tq_cv;
     Sim.Condvar.broadcast dq.dq_cv;
     Sim.Condvar.broadcast st.idle_kick;
     Sim.Condvar.broadcast st.cache_progress
-
-(* ---------- the serial baseline ---------- *)
-
-type io_request =
-  | Io_fetch of fetch_ctx * Sim.Condvar.t
-  | Io_writeout of wo_ctx * Sim.Condvar.t
-  | Io_stop  (** shutdown drain: wakes the I/O process so it can exit *)
-
-(* The paper's measured configuration: a single I/O process, and a
-   service process that blocks on it one request at a time — the serial
-   read-then-write pipeline whose phases Table 4 breaks down. Kept
-   selectable ([State.io_mode]) as the baseline the pipeline bench
-   compares against. *)
-let spawn_serial st =
-  let io_mb : io_request Sim.Mailbox.t = Sim.Mailbox.create () in
-  Sim.Engine.spawn st.engine ~name:"hl-io" (fun () ->
-      let rec loop () =
-        (match Sim.Mailbox.recv io_mb with
-        | Io_fetch (ctx, cv) ->
-            (match fetch_read st ctx with
-            | Ok image -> (
-                match fetch_write st ctx image with
-                | Ok () -> ()
-                | Error msg -> fail_fetch st ctx.f_line msg)
-            | Error msg -> fail_fetch st ctx.f_line msg);
-            Sim.Condvar.broadcast cv
-        | Io_writeout (ctx, cv) ->
-            (* one chunk: the handoff comes after the whole read, and
-               this process runs the consumer itself *)
-            writeout_read st ctx ~handoff:(fun () ->
-                writeout_write st ctx;
-                true);
-            Sim.Condvar.broadcast cv
-        | Io_stop -> ());
-        if not st.stop_service then loop ()
-      in
-      loop ());
-  Sim.Engine.spawn st.engine ~name:"hl-service" (fun () ->
-      (* demand fetches and write-outs overtake queued prefetches: a
-         reader must never stall behind speculative work *)
-      let urgent : request Queue.t = Queue.create () in
-      let background : request Queue.t = Queue.create () in
-      let classify r =
-        match r with
-        | Fetch { is_prefetch = true; _ } -> Queue.add r background
-        | Fetch _ | Writeout _ -> Queue.add r urgent
-        | Progress -> ()
-      in
-      let pending () = Queue.length urgent + Queue.length background in
-      let refill () =
-        if pending () = 0 then classify (Sim.Mailbox.recv st.service_mb);
-        let rec drain () =
-          match Sim.Mailbox.try_recv st.service_mb with
-          | Some r ->
-              classify r;
-              drain ()
-          | None -> ()
-        in
-        drain ()
-      in
-      let pick () =
-        match Queue.take_opt urgent with
-        | Some r -> Some r
-        | None -> Queue.take_opt background
-      in
-      (* consecutive allocation failures; once every pending request has
-         had a turn without progress, sleep on the progress condvar
-         (instead of the seed's 5 ms poll loop) *)
-      let failures = ref 0 in
-      let rec loop () =
-        refill ();
-        (match pick () with
-        | None -> () (* only Progress arrived; re-check stop_service *)
-        | Some (Fetch { line; enqueued; is_prefetch } as req) -> (
-            (* never block on allocation: pending write-outs are what
-               turn Staging lines into evictable ones, and only this
-               process dispatches them *)
-            match try_allocate st with
-            | Some seg ->
-                failures := 0;
-                st.queue_time <- st.queue_time +. (now st -. enqueued);
-                Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
-                line.Seg_cache.disk_seg <- seg;
-                Lfs.Segusage.set_cache_tag (Lfs.Fs.seguse (fs st)) seg line.Seg_cache.tindex;
-                Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-                let cv = Sim.Condvar.create () in
-                Sim.Mailbox.send io_mb
-                  (Io_fetch
-                     ({ f_line = line; f_urgent = not is_prefetch; f_enqueued = enqueued }, cv));
-                Sim.Condvar.wait cv
-            | None ->
-                incr failures;
-                (if is_prefetch then Queue.add req background else Queue.add req urgent);
-                if !failures > pending () then begin
-                  failures := 0;
-                  Sim.Condvar.wait st.cache_progress
-                end)
-        | Some (Writeout { line; enqueued; status; done_cv }) ->
-            failures := 0;
-            st.queue_time <- st.queue_time +. (now st -. enqueued);
-            Sim.Ledger.charge_since line.Seg_cache.ledger Sim.Ledger.Queue_wait enqueued;
-            Sim.Trace.async_instant line.Seg_cache.span_id ~args:[ ("phase", "dispatch") ];
-            let cv = Sim.Condvar.create () in
-            Sim.Mailbox.send io_mb
-              (Io_writeout (writeout_ctx st ~serial:true line status done_cv, cv));
-            Sim.Condvar.wait cv
-        | Some Progress -> () (* never queued; classify drops it *));
-        if not st.stop_service then loop ()
-      in
-      loop ();
-      (* shutdown drain: wake the waiters of whatever never got
-         dispatched, so nothing stays blocked forever *)
-      let abort = function
-        | Fetch { line; _ } -> fail_fetch st line "service stopped"
-        | Writeout { line; status; done_cv; _ } ->
-            fail_writeout_request st line status done_cv "service stopped"
-        | Progress -> ()
-      in
-      Queue.iter abort urgent;
-      Queue.clear urgent;
-      Queue.iter abort background;
-      Queue.clear background;
-      let rec drain_mb () =
-        match Sim.Mailbox.try_recv st.service_mb with
-        | Some r ->
-            abort r;
-            drain_mb ()
-        | None -> ()
-      in
-      drain_mb ());
-  fun () ->
-    st.stop_service <- true;
-    (* drain both loops: the I/O process blocks in its own mailbox, the
-       service process in [service_mb] *)
-    Sim.Mailbox.send io_mb Io_stop;
-    Sim.Mailbox.send st.service_mb Progress;
-    Sim.Condvar.broadcast st.cache_progress
-
-let spawn st =
-  match st.io_mode with Pipelined -> spawn_pipelined st | Serial -> spawn_serial st
 
 type ticket = { status : writeout_status ref; done_cv : Sim.Condvar.t }
 

@@ -7,7 +7,8 @@
     for a fetch; the reverse for a write-out), so segment N's disk write
     overlaps segment N+1's tertiary read, demand fetches preempt
     prefetches, and write-outs batch per destination volume to amortize
-    robot swaps. The dispatcher itself never blocks on a transfer.
+    robot swaps. The dispatcher drains its mailbox into two queues —
+    demand fetches and write-outs first, prefetches behind them.
 
     Each transfer has one implementation, chunked at
     [State.stream_chunk_blocks]. A fetch reads through one call and
@@ -21,10 +22,15 @@
     mode, or [stream_chunk_blocks = seg_blocks] — is the blocking
     read-then-write.
 
-    [State.io_mode = Serial] instead reproduces the paper's measured
-    configuration — a single I/O process serviced one request at a
-    time — as the baseline the Table 4 "overlapped" column and the
-    pipeline bench compare against. *)
+    [State.io_mode] sets the dispatcher's admission window; both modes
+    run this one scheduler. [Pipelined] never blocks the dispatcher on
+    a transfer. [Serial] admits one request and waits for it to settle
+    (a fetch landed or failed; a write-out on the media or failed)
+    before taking the next: the paper's measured one-request-at-a-time
+    configuration, the baseline the Table 4 "overlapped" column and
+    the pipeline bench compare against. In [Serial] a prefetch that
+    cannot get a cache line is cancelled, as in [Pipelined], and the
+    idle-readahead daemon runs too. *)
 
 val spawn : State.t -> unit -> unit
 (** Starts the service/I/O machinery; returns a shutdown function (the
@@ -49,8 +55,9 @@ type ticket
 val request_writeout : State.t -> Seg_cache.line -> ticket
 (** Queues a freshly assembled staging segment for copy-out; the
     service/I/O processes drain the queue asynchronously. A shutdown
-    settles every ticket, including one whose producer is mid-read
-    (it fails with "service stopped" at the handoff). *)
+    settles every ticket, including one whose producer is mid-read:
+    in either I/O mode it fails with "service stopped" at the
+    handoff. *)
 
 val await : ticket -> State.writeout_status
 (** Blocks until the copy (including any end-of-medium re-homing)

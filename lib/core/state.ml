@@ -40,7 +40,6 @@ type t = {
   mutable fs : Lfs.Fs.t option;
   manifests : (int, staged_entry list) Hashtbl.t;
   replicas : (int, int list) Hashtbl.t;
-  mutable demand_fetches : int;
   mutable writeouts : int;
   mutable rehomes : int;
   mutable fetch_wait : float;
@@ -50,7 +49,6 @@ type t = {
   mutable io_union_time : float;
   mutable io_active : int;
   mutable io_busy_since : float;
-  mutable prefetches_dropped : int;
   mutable streaming_fetch : bool;
   mutable idle_readahead : bool;
       (** when a tertiary worker goes idle, prefetch warm segments off
@@ -121,7 +119,6 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     fs = None;
     manifests = Hashtbl.create 16;
     replicas = Hashtbl.create 8;
-    demand_fetches = 0;
     writeouts = 0;
     rehomes = 0;
     fetch_wait = 0.0;
@@ -131,7 +128,6 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     io_union_time = 0.0;
     io_active = 0;
     io_busy_since = 0.0;
-    prefetches_dropped = 0;
     streaming_fetch = true;
     idle_readahead = false;
     stream_chunk_blocks = 16;
@@ -169,10 +165,9 @@ let create ~engine ~aspace ~disk ~fp ~cache =
   Seg_cache.set_on_free cache (fun () -> Sim.Condvar.broadcast st.cache_progress);
   st
 
-(* Every enqueue also kicks [cache_progress]: the service loop may be
-   sleeping there (waiting for a line to free up) rather than in
-   [Mailbox.recv], and a new request — a write-out in particular — is
-   itself a source of progress. *)
+(* Every enqueue also kicks [cache_progress]: starved fetches wait on
+   it (through the service's progress poker), and a new request — a
+   write-out in particular — is itself a source of progress. *)
 let submit t req =
   (match req with
   | Fetch { is_prefetch = false; _ } ->

@@ -41,11 +41,13 @@ type request =
       (** internal nudge: cache-line progress occurred while fetches were
           starved for lines; the service loop retries them *)
 
-(** [Serial] reproduces the paper's measured configuration — one I/O
-    process, one request at a time (Table 4's serial read-then-write
-    pipeline). [Pipelined] is the §11 "obvious improvement": a worker
-    per jukebox drive plus a cache-disk worker, with the two phases of
-    every transfer overlapped. *)
+(** The admission window of {!Service}'s one scheduler (a worker per
+    jukebox drive plus a cache-disk worker). [Pipelined] is the §11
+    "obvious improvement": the dispatcher admits every request at once
+    and the two phases of every transfer overlap. [Serial] reproduces
+    the paper's measured configuration — one request at a time, each
+    settled before the next is admitted, write-outs in one chunk
+    (Table 4's serial read-then-write pipeline). *)
 type io_mode = Serial | Pipelined
 
 (** Manifest entries: what was staged into a tertiary segment and at
@@ -70,7 +72,6 @@ type t = {
   replicas : (int, int list) Hashtbl.t;
       (** primary tindex -> replica tindices on other volumes (§5.4);
           replica segments are not counted as live data *)
-  mutable demand_fetches : int;
   mutable writeouts : int;
   mutable rehomes : int;
   mutable fetch_wait : float;  (** process time blocked on demand fetches *)
@@ -84,8 +85,6 @@ type t = {
           overlap factor is (disk + tertiary) / union *)
   mutable io_active : int;  (** phases currently in flight *)
   mutable io_busy_since : float;  (** start of the current busy span *)
-  mutable prefetches_dropped : int;
-      (** speculative fetches cancelled because no cache line was free *)
   mutable streaming_fetch : bool;
       (** when true (default), a fetch publishes the line's valid-prefix
           watermark as each [stream_chunk_blocks] chunk lands in the
@@ -104,8 +103,9 @@ type t = {
           read hands the segment to the tertiary write after its first
           chunk, so the two overlap behind a written-prefix watermark.
           Write-outs to WORM volumes and every write-out in [Serial]
-          mode use one chunk of [seg_blocks] (read whole, then write);
-          so does any write-out when this is set to [seg_blocks]. The
+          mode (one request admitted at a time) use one chunk of
+          [seg_blocks] (read whole, then write); so does any write-out
+          when this is set to [seg_blocks]. The
           bus moves data at the 64 KB transfer grain whatever this is;
           tests shrink it to observe mid-stream states on small
           segments. *)
@@ -140,7 +140,10 @@ type t = {
           never return theirs. *)
   cache_progress : Sim.Condvar.t;
       (** broadcast whenever a cache line may have become obtainable:
-          eviction, segment release, pin release, transfer completion *)
+          eviction, segment release, pin release, transfer completion.
+          Also the signal that a transfer settled — every fetch and
+          write-out settle path broadcasts it — which [Serial]'s
+          admission window waits on. *)
   mutable stop_service : bool;
   mutable blocks_migrated : int;
   mutable bytes_migrated : int;

@@ -23,7 +23,8 @@ type world = {
 }
 
 let make_world ?(nsegs = 48) ?(cache_segs = 10) ?(nvolumes = 4) ?(real_segs_per_vol = 8)
-    ?(advertised_segs_per_vol = 8) ?(cache_policy = Seg_cache.Lru) engine =
+    ?(advertised_segs_per_vol = 8) ?(cache_policy = Seg_cache.Lru) ?(io_mode = State.Pipelined)
+    engine =
   let prm = Param.for_tests ~seg_blocks:16 ~nsegs () in
   let store =
     Device.Blockstore.create ~block_size:prm.Param.block_size ~nblocks:(Layout.disk_blocks prm)
@@ -38,7 +39,7 @@ let make_world ?(nsegs = 48) ?(cache_segs = 10) ?(nvolumes = 4) ?(real_segs_per_
       ~segs_per_volume:advertised_segs_per_vol [ jb ]
   in
   let hl =
-    Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs ~cache_policy ()
+    Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs ~cache_policy ~io_mode ()
   in
   { engine; store; jb; fp; hl }
 
@@ -253,19 +254,34 @@ let test_crash_after_migration () =
       check Alcotest.bytes "tertiary data survives crash" data
         (File.read fs2 f2 ~off:0 ~len:(12 * 4096)))
 
-let test_end_of_medium_rehome () =
+let test_end_of_medium_rehome io_mode () =
   in_sim (fun engine ->
       (* volumes really hold 4 segments but advertise 7 *)
-      let w = make_world ~real_segs_per_vol:4 ~advertised_segs_per_vol:7 engine in
+      let w = make_world ~real_segs_per_vol:4 ~advertised_segs_per_vol:7 ~io_mode engine in
       let fs = Hl.fs w.hl in
       let f = Dir.create_file fs "/big.dat" in
       (* ~6 segments of data: overflows volume 0's real capacity *)
       let data = bytes_pattern (84 * 4096) 6 in
       File.write fs f ~off:0 data;
+      (* unrelated cache activity (pin releases, segment frees) keeps
+         waking the dispatcher throughout *)
+      let migrating = ref true in
+      Sim.Engine.spawn engine ~name:"cache-activity" (fun () ->
+          while !migrating do
+            Sim.Engine.delay 0.05;
+            State.note_progress (Hl.state w.hl)
+          done);
       ignore (Migrator.migrate_paths (Hl.state w.hl) [ "/big.dat" ]);
+      migrating := false;
       let s = Hl.stats w.hl in
       check Alcotest.bool "rehomes occurred" true (s.Hl.rehomes > 0);
       check Alcotest.bool "volume 0 marked full" true (Footprint.volume_full w.fp 0);
+      (* a re-homed write-out is still in flight until its second copy
+         lands: Serial must not admit the next request before that *)
+      if io_mode = State.Serial then begin
+        check (Alcotest.float 1e-9) "serial io_overlap" 1.0 s.Hl.io_overlap;
+        check (Alcotest.float 1e-9) "serial writeout_overlap" 1.0 s.Hl.writeout_overlap
+      end;
       Hl.eject_tertiary_copies w.hl ~paths:[ "/big.dat" ];
       Bcache.invalidate_clean (Fs.bcache fs);
       check Alcotest.bytes "data intact across volumes" data
@@ -538,7 +554,10 @@ let suite =
       ] );
     ( "hl.capacity",
       [
-        Alcotest.test_case "end-of-medium rehome" `Quick test_end_of_medium_rehome;
+        Alcotest.test_case "end-of-medium rehome" `Quick
+          (test_end_of_medium_rehome State.Pipelined);
+        Alcotest.test_case "end-of-medium rehome (serial)" `Quick
+          (test_end_of_medium_rehome State.Serial);
         Alcotest.test_case "cache pressure evicts" `Quick test_cache_pressure_evicts;
         Alcotest.test_case "tertiary cleaner" `Quick test_tertiary_cleaner;
         Alcotest.test_case "sequential prefetch" `Quick test_prefetch_sequential;

@@ -28,7 +28,7 @@ let parse_ok text =
    rate, fast robot), so the gap between "first chunk arrived" and
    "whole segment arrived" is unmistakable in the clock. *)
 let make_slow_world ?(streaming = true) ?(chunk = 4) ?(nsegs = 64) ?(cache_segs = 12)
-    ?(read_rate = 32.0 *. 1024.0) engine =
+    ?(read_rate = 32.0 *. 1024.0) ?(io_mode = State.Pipelined) engine =
   let prm = Param.for_tests ~seg_blocks:16 ~nsegs () in
   let store =
     Device.Blockstore.create ~block_size:prm.Param.block_size
@@ -49,7 +49,7 @@ let make_slow_world ?(streaming = true) ?(chunk = 4) ?(nsegs = 64) ?(cache_segs 
       ~vol_capacity:(8 * prm.Param.seg_blocks) ~media ~changer "jb"
   in
   let fp = Footprint.create ~seg_blocks:prm.Param.seg_blocks ~segs_per_volume:8 [ jb ] in
-  let hl = Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs () in
+  let hl = Hl.mkfs engine prm ~disk:(Dev.of_store store) ~fp ~cache_segs ~io_mode () in
   Hl.set_streaming_fetch hl streaming;
   (Hl.state hl).State.stream_chunk_blocks <- chunk;
   (hl, fp)
@@ -202,6 +202,50 @@ let test_midstream_media_error () =
     "no blocked processes" []
     (Sim.Engine.blocked_process_names e);
   check Alcotest.int "blocked count" 0 (Sim.Engine.blocked_processes e)
+
+(* Serial admits one fetch and waits for it to settle. Here a
+   prefetch fails mid-stream and keeps its prefix as a Partial line; a
+   reader woken by the readahead hook, which runs before the
+   dispatcher is woken, reads past the watermark and flips the line
+   straight back to Fetching. The failed prefetch must still count as
+   settled, or the tail re-fetch waits behind it forever. *)
+let test_serial_refetch_after_failure () =
+  let (), e =
+    in_sim_e (fun engine ->
+        with_plan (fun () ->
+            let hl, _fp = make_slow_world ~io_mode:State.Serial engine in
+            let fs = Hl.fs hl in
+            let st = Hl.state hl in
+            st.State.retry.State.max_attempts <- 1;
+            let data = bytes_pattern small_bytes 7 in
+            stage_out hl "/a" data ~vol:0;
+            let ino = Dir.namei fs "/a" in
+            (* op=3 kills the second chunk, as in the test above *)
+            Sim.Fault.install engine ~metrics:(Hl.metrics hl)
+              (parse_ok "jb:drive* read op=3 media_error transient");
+            let wasted = Sim.Condvar.create () in
+            st.State.on_prefetch_wasted <- (fun _ -> Sim.Condvar.broadcast wasted);
+            let tindex = Addr_space.tindex_of_vol_seg st.State.aspace ~vol:0 ~seg:0 in
+            let now = Sim.Engine.now engine in
+            let line =
+              Seg_cache.insert (Hl.cache hl) ~tindex ~disk_seg:(-1) ~state:Seg_cache.Fetching ~now
+            in
+            line.Seg_cache.prefetched <- true;
+            State.submit st (State.Fetch { line; enqueued = now; is_prefetch = true });
+            Sim.Condvar.wait wasted;
+            check Alcotest.bool "failed prefetch kept its prefix" true
+              (line.Seg_cache.state = Seg_cache.Partial);
+            check Alcotest.bool "tail re-fetch served the block" true
+              (Bytes.equal
+                 (File.read fs ino ~off:(11 * 4096) ~len:4096)
+                 (Bytes.sub data (11 * 4096) 4096));
+            check (Alcotest.list Alcotest.string) "invariants" [] (Hl.check hl);
+            Hl.shutdown_service hl))
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "no blocked processes" []
+    (Sim.Engine.blocked_process_names e)
 
 (* ---------- streaming write-out under faults ---------- *)
 
@@ -650,6 +694,8 @@ let suite =
           test_first_block_histogram;
         Alcotest.test_case "mid-stream media error: prefix served, suffix EIO" `Quick
           test_midstream_media_error;
+        Alcotest.test_case "serial: tail re-fetch right after a failed prefetch" `Quick
+          test_serial_refetch_after_failure;
       ] );
     ( "streaming.writeout",
       [
