@@ -25,8 +25,9 @@ let retried st ~what f =
   in
   go 1 st.retry.backoff_base
 
-let raw_write_cache_line st ~disk_seg data =
-  st.disk.Lfs.Dev.write ~blk:(disk_seg_base st disk_seg) ~data
+let raw_write_cache_line st ~disk_seg image =
+  st.disk.Lfs.Dev.write_view ~blk:(disk_seg_base st disk_seg) ~count:(seg_blocks st)
+    (Device.Blockstore.Store (image, 0))
 
 (* A demand use of a line a readahead hint staged in: score the
    prefetch as accurate and hand the outcome to the adaptive policy. *)
@@ -65,8 +66,7 @@ let rec await_extent st line ~off ~count =
          mid-stream, Resident (image still attached), or the Partial
          remnant of a failed fetch — the bytes below the watermark are
          real in every case *)
-      let bs = st.disk.Lfs.Dev.block_size in
-      Some (Bytes.sub image (off * bs) (count * bs))
+      Some (Device.Blockstore.read image ~blk:off ~count)
   | None -> (
       match line.Seg_cache.failed with
       | Some msg -> raise (Io_error msg)
@@ -118,9 +118,7 @@ let rec tertiary_read st ~blk ~count =
           Obs.Decision.note_segment_access ~now:(Sim.Engine.now st.engine) ~miss:false tindex;
         Seg_cache.touch st.cache line ~now:(Sim.Engine.now st.engine);
         match line.Seg_cache.image with
-        | Some image ->
-            let bs = st.disk.Lfs.Dev.block_size in
-            Bytes.sub image (off * bs) (count * bs)
+        | Some image -> Device.Blockstore.read image ~blk:off ~count
         | None ->
             (* a Partial line keeps its image for life; losing it means
                the prefix is gone for good — re-fetch from scratch *)
@@ -182,10 +180,9 @@ let rec tertiary_read st ~blk ~count =
       let data =
         match line.Seg_cache.image with
         | Some image ->
-            (* recently fetched: the segment buffer is still in memory,
+            (* recently fetched: the segment image is still in memory,
                no need to go back to the cache disk for it *)
-            let bs = st.disk.Lfs.Dev.block_size in
-            Bytes.sub image (off * bs) (count * bs)
+            Device.Blockstore.read image ~blk:off ~count
         | None ->
             retried st ~what:"cache-line read" (fun () ->
                 st.disk.Lfs.Dev.read ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off) ~count)
@@ -243,10 +240,10 @@ let rec tertiary_read st ~blk ~count =
       | Some data -> data
       | None -> tertiary_read st ~blk ~count)
 
-let read_block_into st addr ~dst ~dst_off =
+let read_block_to st addr ~dst ~dst_blk =
+  let into = Device.Blockstore.Store (dst, dst_blk) in
   if Addr_space.is_disk st.aspace addr then
-    retried st ~what:"disk read" (fun () ->
-        st.disk.Lfs.Dev.read_into ~blk:addr ~count:1 ~dst ~dst_off)
+    retried st ~what:"disk read" (fun () -> st.disk.Lfs.Dev.read_view ~blk:addr ~count:1 into)
   else begin
     let tindex = Addr_space.tindex_of_addr st.aspace addr in
     let off = Addr_space.offset_in_seg st.aspace addr in
@@ -256,16 +253,16 @@ let read_block_into st addr ~dst ~dst_off =
            || line.Seg_cache.state = Seg_cache.Staging
            || line.Seg_cache.state = Seg_cache.Staged_clean ->
         retried st ~what:"cache-line read" (fun () ->
-            st.disk.Lfs.Dev.read_into
+            st.disk.Lfs.Dev.read_view
               ~blk:(disk_seg_base st line.Seg_cache.disk_seg + off)
-              ~count:1 ~dst ~dst_off)
+              ~count:1 into)
     | _ ->
         let vol, seg = Addr_space.vol_seg_of_tindex st.aspace tindex in
         let b =
           retried st ~what:"tertiary block read" (fun () ->
               Footprint.read_blocks st.fp ~vol ~seg ~off ~count:1)
         in
-        Bytes.blit b 0 dst dst_off (Bytes.length b)
+        Device.Blockstore.write dst ~blk:dst_blk b
   end
 
 let dev st =
@@ -285,22 +282,22 @@ let dev st =
         (Printf.sprintf
            "Block_io: tertiary address %d is not writable through the block map" blk)
   in
-  let read_into ~blk ~count ~dst ~dst_off =
+  let read_view ~blk ~count view =
     if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log read" (fun () ->
-          st.disk.Lfs.Dev.read_into ~blk ~count ~dst ~dst_off)
+      retried st ~what:"log read" (fun () -> st.disk.Lfs.Dev.read_view ~blk ~count view)
     else begin
       (* tertiary reads route through the cache-line machinery, which
-         serves from a pinned image or the cache disk; one blit at the
-         end keeps those paths simple *)
+         serves from an image or the cache disk; one copy at the end
+         keeps those paths simple *)
       let data = read ~blk ~count in
-      Bytes.blit data 0 dst dst_off (Bytes.length data)
+      match view with
+      | Device.Blockstore.Buf (dst, dst_off) -> Bytes.blit data 0 dst dst_off (Bytes.length data)
+      | Device.Blockstore.Store (dst, dst_blk) -> Device.Blockstore.write dst ~blk:dst_blk data
     end
   in
-  let write_from ~blk ~src ~src_off ~count =
+  let write_view ~blk ~count view =
     if Addr_space.is_disk st.aspace blk then
-      retried st ~what:"log write" (fun () ->
-          st.disk.Lfs.Dev.write_from ~blk ~src ~src_off ~count)
+      retried st ~what:"log write" (fun () -> st.disk.Lfs.Dev.write_view ~blk ~count view)
     else
       invalid_arg
         (Printf.sprintf
@@ -311,6 +308,6 @@ let dev st =
     block_size = st.disk.Lfs.Dev.block_size;
     read;
     write;
-    read_into;
-    write_from;
+    read_view;
+    write_view;
   }

@@ -8,12 +8,13 @@
 
 val dev : State.t -> Lfs.Dev.t
 
-val raw_write_cache_line : State.t -> disk_seg:int -> Bytes.t -> unit
-(** Whole-segment raw write of a cache line (the I/O server's direct
-    disk access, bypassing the buffer cache). *)
+val raw_write_cache_line : State.t -> disk_seg:int -> Device.Blockstore.t -> unit
+(** Whole-segment raw write of a cache line from a segment image, by
+    reference (the I/O server's direct disk access, bypassing the
+    buffer cache). *)
 
-val read_block_into : State.t -> int -> dst:Bytes.t -> dst_off:int -> unit
-(** Reads one block wherever it lives into [dst] at [dst_off]: disk
-    directly, tertiary via the cache when resident or straight from the
-    jukebox otherwise (the migrator gathers a staging segment's payload
-    with it, straight into the segment image). *)
+val read_block_to : State.t -> int -> dst:Device.Blockstore.t -> dst_blk:int -> unit
+(** Reads one block wherever it lives into block [dst_blk] of [dst]:
+    disk directly, tertiary via the cache when resident or straight
+    from the jukebox otherwise (the migrator gathers a staging
+    segment's payload with it, straight into the segment image). *)

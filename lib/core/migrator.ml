@@ -62,18 +62,18 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
   in
   Segusage.set_cache_tag (Fs.seguse fsys) disk_seg tindex;
   let tbase = Addr_space.seg_base st.aspace tindex in
-  (* the segment is assembled in a recycled buffer: summary block, then
-     data blocks, then inode blocks, then zeros *)
-  let image = take_image st in
+  (* the segment is assembled in a fresh image: summary block, then
+     data blocks, then inode blocks; the rest is never written and
+     lands as zeros *)
+  let image = new_image st in
   (* gather the blocks with the migrator's raw disk access: each block
      lands in its slot of the image, not in the buffer cache; a
      buffer-cache hit is copied as it stands now *)
   List.iteri
     (fun i (inum, bkey, addr) ->
-      let dst_off = (1 + i) * bs in
       match Bcache.find (Fs.bcache fsys) (inum, bkey) with
-      | Some d -> Bytes.blit d 0 image dst_off bs
-      | None -> Block_io.read_block_into st addr ~dst:image ~dst_off)
+      | Some d -> Device.Blockstore.write image ~blk:(1 + i) d
+      | None -> Block_io.read_block_to st addr ~dst:image ~dst_blk:(1 + i))
     blocks;
   (* re-verify and re-aim pointers; blocks that moved while we were
      reading are left as dead slots in the staging segment *)
@@ -113,8 +113,7 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
     (fun (slot, inums) ->
       let taddr = tbase + 1 + slot in
       let inos = List.map (Fs.get_inode fsys) inums in
-      let block = Inode.pack_block ~block_size:bs inos in
-      Bytes.blit block 0 image ((1 + slot) * bs) bs;
+      Device.Blockstore.write image ~blk:(1 + slot) (Inode.pack_block ~block_size:bs inos);
       List.iter
         (fun inum ->
           let e = Imap.get (Fs.imap fsys) inum in
@@ -134,18 +133,15 @@ let stage_segment ?(defer = false) st ~inode_set blocks =
       inode_addrs = List.map (fun (slot, _) -> tbase + 1 + slot) inode_blocks;
     }
   in
-  let data_end = (1 + nblocks_total) * bs in
-  Bytes.fill image data_end ((sgb * bs) - data_end) '\000';
-  let sum_block =
-    Summary.serialize ~block_size:bs
-      ~data_crc:(Util.Crc32.bytes ~off:bs ~len:(nblocks_total * bs) image)
-      summary
+  let data_crc =
+    if nblocks_total = 0 then 0 (* the checksum of no bytes *)
+    else
+      Device.Blockstore.fold_bytes image ~blk:1 ~count:nblocks_total ~init:0
+        (fun crc b off len -> Util.Crc32.combine ~off ~len crc b)
   in
-  Bytes.blit sum_block 0 image 0 bs;
-  Fs.charge_copy fsys (Bytes.length image);
+  Device.Blockstore.write image ~blk:0 (Summary.serialize ~block_size:bs ~data_crc summary);
+  Fs.charge_copy fsys (sgb * bs);
   Block_io.raw_write_cache_line st ~disk_seg image;
-  (* the disk store copied the bytes before the write returned *)
-  recycle_image st image;
   (* manifest for end-of-medium re-homing *)
   Hashtbl.replace st.manifests tindex
     (List.mapi

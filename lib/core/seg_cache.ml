@@ -8,12 +8,12 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;
-  mutable image : Bytes.t option;
-      (* the in-memory segment buffer of a recent fetch; block reads are
+  mutable image : Device.Blockstore.t option;
+      (* the in-memory segment image of a recent fetch; block reads are
          served from it (a copy, no disk pass) while it lives. The
          service layer bounds how many images stay attached. *)
-  mutable wo_buf : Bytes.t option;
-      (* the buffer of the in-flight write-out, if any *)
+  mutable wo_buf : Device.Blockstore.t option;
+      (* the segment image of the in-flight write-out, if any *)
   mutable valid_blocks : int;
       (* streaming-fetch watermark: the first [valid_blocks] blocks of
          [image] hold real data. Full (= seg_blocks) once the tertiary

@@ -30,18 +30,18 @@ type line = {
   mutable last_use : float;
   mutable fetched_at : float;
   mutable worthy : bool;  (** re-referenced since fetch *)
-  mutable image : Bytes.t option;
-      (** in-memory segment buffer of a recent fetch: block reads are
+  mutable image : Device.Blockstore.t option;
+      (** in-memory segment image of a recent fetch: block reads are
           served from it without a disk pass while it lives (double
           buffering, paper §6.7); the service layer bounds how many
-          stay attached *)
-  mutable wo_buf : Bytes.t option;
-      (** the segment buffer of the line's in-flight write-out: the
-          cache-disk read fills it and the tertiary write drains it.
-          Set when the service dispatches the write-out; cleared when
-          the write-out completes (the buffer goes back to
-          [State.free_images]) or fails (the garbage collector takes
-          it). *)
+          stay attached. It shares its extents copy-on-write with the
+          tertiary volume and the cache-disk line, so later writes to
+          either never change what it serves. *)
+  mutable wo_buf : Device.Blockstore.t option;
+      (** the segment image of the line's in-flight write-out: the
+          cache-disk read fills it by reference and the tertiary write
+          drains it by reference. Set when the service dispatches the
+          write-out; cleared when the write-out completes or fails. *)
   mutable valid_blocks : int;
       (** streaming-fetch watermark: how many leading blocks of [image]
           hold real data. A streaming fetch advances it chunk by chunk

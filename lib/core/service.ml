@@ -285,7 +285,7 @@ let writeout_ctx st ~serial line status done_cv =
     if serial || Footprint.media_kind st.fp vol = Device.Jukebox.Worm then seg_blocks st
     else max 1 st.stream_chunk_blocks
   in
-  line.Seg_cache.wo_buf <- Some (take_image st);
+  line.Seg_cache.wo_buf <- Some (new_image st);
   {
     w_line = line;
     w_status = status;
@@ -452,16 +452,16 @@ let phased_wo st phase f =
    cheapest copy. The copy is re-chosen on every retry, so a replica on
    a healthy volume can stand in for a primary behind a dead drive.
 
-   The image buffer is attached to the line *before* the transfer and
-   each chunk lands at its final offset in it — one store→image copy,
-   no per-chunk buffers. With [streaming_fetch] the [valid_blocks]
-   watermark advances as each chunk crosses the bus, broadcasting
-   [ready] so a waiter whose block offset just became valid unblocks
-   immediately — the cache-disk landing and the rest of the segment are
-   off its critical path. The watermark only moves when the delivered
+   The image is attached to the line *before* the transfer and each
+   chunk lands at its final offset in it, by reference: the image
+   shares the volume's extents, so no segment bytes are copied. With
+   [streaming_fetch] the [valid_blocks] watermark advances as each
+   chunk crosses the bus, broadcasting [ready] so a waiter whose block
+   offset just became valid unblocks immediately — the cache-disk
+   landing and the rest of the segment are off its critical path. The watermark only moves when the delivered
    chunk extends the contiguous prefix, and never regresses across
    retries: segment data is deterministic (replicas are copies), so a
-   retry re-blits the same bytes. Without [streaming_fetch] the
+   retry re-delivers the same bytes. Without [streaming_fetch] the
    segment moves as one chunk and nothing is published before the
    landing (the paper's blocking fetch). *)
 let fetch_read st ctx =
@@ -481,9 +481,9 @@ let fetch_read st ctx =
             (fun () ->
               let image =
                 match line.Seg_cache.image with
-                | Some img -> img (* retry: keep buffer and watermark *)
+                | Some img -> img (* retry: keep image and watermark *)
                 | None ->
-                    let img = take_image st in
+                    let img = new_image st in
                     line.Seg_cache.image <- Some img;
                     img
               in
@@ -494,9 +494,9 @@ let fetch_read st ctx =
               let start = line.Seg_cache.valid_blocks in
               let streaming = st.streaming_fetch in
               if start < seg_blocks st then
-                Footprint.read_seg_stream_into st.fp ~vol ~seg
+                Footprint.read_seg_stream st.fp ~vol ~seg
                   ~chunk:(if streaming then st.stream_chunk_blocks else seg_blocks st)
-                  ~off:start ~dst:image ~dst_off:0
+                  ~off:start (Device.Blockstore.Store (image, 0))
                   (fun ~off ~blocks ->
                     if streaming then begin
                       Sim.Ledger.mark_first_block line.Seg_cache.ledger;
@@ -515,29 +515,17 @@ let fetch_read st ctx =
    single-block reads against a disk whose arm is also landing fetched
    segments would pay a seek + rotation each. Only the newest
    [pipeline width] buffers stay attached (the double buffers of §6.7);
-   beyond that the disk copy serves.
-
-   A dropped image is recycled only when nothing else can reach it: the
-   line is still [Resident] (an evicted line's image is already gone)
-   and is not queued again behind this entry. Readers copy out of an
-   image without yielding, so none holds it across the drop. *)
+   beyond that the disk copy serves. *)
 let attach_image st line image =
   line.Seg_cache.image <- Some image;
   Queue.add line st.image_fifo;
   let depth = image_fifo_depth st in
   while Queue.length st.image_fifo > depth do
-    let old = Queue.pop st.image_fifo in
-    (match old.Seg_cache.image with
-    | Some img
-      when old.Seg_cache.state = Seg_cache.Resident
-           && not (Queue.fold (fun queued l -> queued || l == old) false st.image_fifo) ->
-        recycle_image st img
-    | _ -> ());
-    old.Seg_cache.image <- None
+    (Queue.pop st.image_fifo).Seg_cache.image <- None
   done
 
 (* Fetch phase B (cache-disk worker): land the image in the cache line
-   and publish it. *)
+   by reference and publish it. *)
 let fetch_write st ctx image =
   let line = ctx.f_line in
   match
@@ -582,10 +570,9 @@ let fetch_write st ctx image =
 (* Write-out completion: publish the staged line as clean, settle the
    ticket, close the books. The whole segment is on the media, so the
    producer has read its last chunk and the consumer written it: the
-   buffer is free. *)
+   line lets go of the image. *)
 let writeout_done st ctx =
   let line = ctx.w_line in
-  Option.iter (recycle_image st) line.Seg_cache.wo_buf;
   line.Seg_cache.wo_buf <- None;
   line.Seg_cache.state <- Seg_cache.Staged_clean;
   st.writeouts <- st.writeouts + 1;
@@ -605,11 +592,11 @@ let writeout_done st ctx =
    permanently, so the awaited watermark will never advance. *)
 exception Stream_aborted of string
 
-(* Write-out, disk side (the producer): lift the staged image off the
-   cache disk into the context's buffer front to back in [w_chunk]
-   pieces, advancing the shared watermark after each chunk so the
-   consumer can put it on the media while the next chunk is still under
-   the disk arm.
+(* Write-out, disk side (the producer): lift the staged segment off the
+   cache disk into the line's write-out image, by reference, front to
+   back in [w_chunk] pieces, advancing the shared watermark after each
+   chunk so the consumer can put it on the media while the next chunk
+   is still under the disk arm.
 
    The producer owns the write-out and its ledger until the first chunk
    lands; then [handoff] passes both to the consumer (false if it could
@@ -631,11 +618,10 @@ let writeout_read st ctx ~handoff =
               ~args:[ ("tindex", string_of_int line.Seg_cache.tindex) ]
               (fun () ->
                 let base = disk_seg_base st line.Seg_cache.disk_seg in
-                let bs = st.disk.Lfs.Dev.block_size in
                 while ctx.w_read < upto && ctx.w_failed = None do
                   let n = min ctx.w_chunk (upto - ctx.w_read) in
-                  st.disk.Lfs.Dev.read_into ~blk:(base + ctx.w_read) ~count:n ~dst:buf
-                    ~dst_off:(ctx.w_read * bs);
+                  st.disk.Lfs.Dev.read_view ~blk:(base + ctx.w_read) ~count:n
+                    (Device.Blockstore.Store (buf, ctx.w_read));
                   ctx.w_read <- ctx.w_read + n;
                   Sim.Condvar.broadcast ctx.w_avail
                 done)))
@@ -670,8 +656,7 @@ let writeout_write st ctx =
                 ~args:
                   [ ("tindex", string_of_int line.Seg_cache.tindex); ("vol", string_of_int vol) ]
                 (fun () ->
-                  Footprint.write_seg_stream_from st.fp ~vol ~seg ~chunk:ctx.w_chunk
-                    ~src:buf ~src_off:0
+                  Footprint.write_seg_stream st.fp ~vol ~seg ~chunk:ctx.w_chunk
                     ~await:(fun ~off ~blocks ->
                       while ctx.w_read < off + blocks && ctx.w_failed = None do
                         (* the stall is part of the tertiary phase: the
@@ -681,6 +666,7 @@ let writeout_write st ctx =
                       match ctx.w_failed with
                       | Some msg -> raise (Stream_aborted msg)
                       | None -> ())
+                    (Device.Blockstore.Store (buf, 0))
                     (fun ~off ~blocks ->
                       if Obs.Health.enabled () then
                         Obs.Health.worker_beat (Sim.Engine.current_name st.engine);
@@ -915,7 +901,7 @@ let tq_release q vol =
 (* Cache-disk work queue: completing a demand fetch beats everything
    else; prefetch landings and write-out reads ride behind. *)
 type disk_job =
-  | D_fetch_write of fetch_ctx * Bytes.t
+  | D_fetch_write of fetch_ctx * Device.Blockstore.t
   | D_writeout of wo_ctx
       (** a write-out's producer half: fill the context's buffer chunk
           by chunk, advancing the shared watermark *)

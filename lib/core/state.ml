@@ -70,7 +70,6 @@ type t = {
   image_fifo : Seg_cache.line Queue.t;
       (** fetched lines whose in-memory segment buffer is still attached
           (FIFO of bounded depth — the "double buffers") *)
-  free_images : Bytes.t Stack.t;
   cache_progress : Sim.Condvar.t;
   mutable stop_service : bool;
   mutable blocks_migrated : int;
@@ -140,7 +139,6 @@ let create ~engine ~aspace ~disk ~fp ~cache =
     on_prefetch_wasted = (fun _ -> ());
     io_mode = Pipelined;
     image_fifo = Queue.create ();
-    free_images = Stack.create ();
     cache_progress = Sim.Condvar.create ();
     stop_service = false;
     blocks_migrated = 0;
@@ -188,16 +186,8 @@ let seg_blocks t = Addr_space.seg_blocks t.aspace
 let disk_seg_base t s = (s + 1) * seg_blocks t
 let image_fifo_depth t = 2 * (max 1 (Footprint.ndrives t.fp) + 1)
 
-let take_image t =
-  match Stack.pop_opt t.free_images with
-  | Some b -> b
-  | None -> Bytes.create (seg_blocks t * Footprint.block_size t.fp)
-
-(* the cap covers every attached image plus one fetch in flight per
-   drive: the steady state needs no more *)
-let recycle_image t b =
-  if Stack.length t.free_images < image_fifo_depth t + Footprint.ndrives t.fp then
-    Stack.push b t.free_images
+let new_image t =
+  Device.Blockstore.create ~block_size:(Footprint.block_size t.fp) ~nblocks:(seg_blocks t)
 
 let next_tseg t =
   let fsys = fs t in

@@ -125,19 +125,13 @@ type t = {
           ever being demanded (tindex) *)
   mutable io_mode : io_mode;  (** consulted once, by {!Service.spawn} *)
   image_fifo : Seg_cache.line Queue.t;
-      (** fetched lines whose in-memory segment buffer is still attached
+      (** fetched lines whose in-memory segment image is still attached
           ([Seg_cache.line.image]); {!Service} keeps its depth at
           {!image_fifo_depth}, the pipeline width — the "double buffers"
-          of §6.7 *)
-  free_images : Bytes.t Stack.t;
-      (** segment-sized buffers nobody references any more, handed out
-          again by {!take_image}; at most {!image_fifo_depth} plus the
-          number of drives. A fetch image comes back only when
-          [image_fifo] drops it from a line that is still [Resident]
-          and not queued again; a write-out buffer when the write-out
-          completes; the migrator's staging image once the cache-disk
-          write has copied it. Failed, [Partial] and evicted lines
-          never return theirs. *)
+          of §6.7. The depth decides which block reads are served from
+          memory rather than the cache disk; an image holds only
+          references to shared extents, so dropping one frees nothing
+          that needs recycling. *)
   cache_progress : Sim.Condvar.t;
       (** broadcast whenever a cache line may have become obtainable:
           eviction, segment release, pin release, transfer completion.
@@ -209,15 +203,11 @@ val image_fifo_depth : t -> int
 (** How many fetched images stay attached: two per tertiary drive plus
     two for the cache-disk worker. *)
 
-val take_image : t -> Bytes.t
-(** A segment-sized buffer off [free_images], or a fresh one when the
-    list is empty. Its contents are stale: the caller overwrites every
-    byte it exposes (fetches publish only below
-    [Seg_cache.line.valid_blocks]). *)
-
-val recycle_image : t -> Bytes.t -> unit
-(** Puts a segment buffer that nothing references any more on
-    [free_images]; past the cap the garbage collector takes it. *)
+val new_image : t -> Device.Blockstore.t
+(** An empty segment image: a store of [seg_blocks] blocks. Fetches,
+    write-outs and the migrator move segments through one; blocks
+    arrive in it by reference ({!Device.Blockstore.share}), so it costs
+    a table of extent references, not a segment of bytes. *)
 
 val next_tseg : t -> int
 (** Allocates the next free tertiary segment at the cursor, skipping

@@ -76,26 +76,31 @@ let rec extents t blk count acc =
 
 (* Each physically-contiguous run moves directly between the member
    disk and the caller's view — no per-run slice buffers. *)
-let read_into t ~blk ~count ~dst ~dst_off =
-  if dst_off < 0 || dst_off + (count * t.bs) > Bytes.length dst then
-    invalid_arg "Concat.read_into: view outside buffer";
+let read_view t ~blk ~count view =
+  Blockstore.check_view ~block_size:t.bs ~count view "Concat.read_view";
   List.iter
     (fun (d, phys, logical, run) ->
-      Disk.read_into d ~blk:phys ~count:run ~dst ~dst_off:(dst_off + ((logical - blk) * t.bs)))
+      Disk.read_view d ~blk:phys ~count:run
+        (Blockstore.shift ~block_size:t.bs view (logical - blk)))
     (extents t blk count [])
+
+let read_into t ~blk ~count ~dst ~dst_off = read_view t ~blk ~count (Blockstore.Buf (dst, dst_off))
 
 let read t ~blk ~count =
   let out = Bytes.create (count * t.bs) in
   read_into t ~blk ~count ~dst:out ~dst_off:0;
   out
 
-let write_from t ~blk ~src ~src_off ~count =
-  if src_off < 0 || src_off + (count * t.bs) > Bytes.length src then
-    invalid_arg "Concat.write_from: view outside buffer";
+let write_view t ~blk ~count view =
+  Blockstore.check_view ~block_size:t.bs ~count view "Concat.write_view";
   List.iter
     (fun (d, phys, logical, run) ->
-      Disk.write_from d ~blk:phys ~src ~src_off:(src_off + ((logical - blk) * t.bs)) ~count:run)
+      Disk.write_view d ~blk:phys ~count:run
+        (Blockstore.shift ~block_size:t.bs view (logical - blk)))
     (extents t blk count [])
+
+let write_from t ~blk ~src ~src_off ~count =
+  write_view t ~blk ~count (Blockstore.Buf (src, src_off))
 
 let write t ~blk data =
   if Bytes.length data = 0 || Bytes.length data mod t.bs <> 0 then

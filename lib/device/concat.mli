@@ -29,3 +29,10 @@ val read_into : t -> blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit
 
 val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** Zero-copy {!write} of a view — no per-run slice allocation. *)
+
+val read_view : t -> blk:int -> count:int -> Blockstore.view -> unit
+(** {!read_into} generalised to a view: a store view takes each run by
+    reference ({!Blockstore.share}). *)
+
+val write_view : t -> blk:int -> count:int -> Blockstore.view -> unit
+(** {!write_from} generalised to a view. *)

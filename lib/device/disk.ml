@@ -150,25 +150,35 @@ let split_io t ~blk ~count ~rate ~op =
   in
   go blk count
 
-let read_into t ~blk ~count ~dst ~dst_off =
+(* One loop per direction whatever the view: fault check, timing and
+   counters are the same for a caller's buffer and for a store that
+   takes the blocks by reference. *)
+let read_view t ~blk ~count view =
+  Blockstore.check_view ~block_size:t.prof.block_size ~count view "Disk.read_view";
   Fault.check ~site:t.site Fault.Read;
   split_io t ~blk ~count ~rate:t.prof.read_rate ~op:"read";
   t.n_reads <- t.n_reads + 1;
   t.rbytes <- t.rbytes + (count * t.prof.block_size);
-  Blockstore.read_into t.store ~blk ~count ~dst ~dst_off
+  Blockstore.read_view t.store ~blk ~count view
+
+let read_into t ~blk ~count ~dst ~dst_off = read_view t ~blk ~count (Blockstore.Buf (dst, dst_off))
 
 let read t ~blk ~count =
   let out = Bytes.create (count * t.prof.block_size) in
   read_into t ~blk ~count ~dst:out ~dst_off:0;
   out
 
-let write_from t ~blk ~src ~src_off ~count =
+let write_view t ~blk ~count view =
+  Blockstore.check_view ~block_size:t.prof.block_size ~count view "Disk.write_view";
   (* consulted before the store mutates: a faulted write leaves no data *)
   Fault.check ~site:t.site Fault.Write;
-  Blockstore.write_from t.store ~blk ~src ~src_off ~count;
+  Blockstore.write_view t.store ~blk ~count view;
   split_io t ~blk ~count ~rate:t.prof.write_rate ~op:"write";
   t.n_writes <- t.n_writes + 1;
   t.wbytes <- t.wbytes + (count * t.prof.block_size)
+
+let write_from t ~blk ~src ~src_off ~count =
+  write_view t ~blk ~count (Blockstore.Buf (src, src_off))
 
 let write t ~blk data =
   let len = Bytes.length data in

@@ -45,11 +45,20 @@ val read_into : t -> blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit
 (** {!read} landing directly in the caller's buffer at [dst_off]: same
     simulated timing, no intermediate allocation. *)
 
+val read_view : t -> blk:int -> count:int -> Blockstore.view -> unit
+(** {!read} into a view: a buffer, or a store that takes the blocks by
+    reference ({!Blockstore.share}). Same timing, fault check and
+    counters either way; {!read_into} is the buffer case. *)
+
 val write : t -> blk:int -> Bytes.t -> unit
 
 val write_from : t -> blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit
 (** {!write} of the [count]-block view at [src_off] in [src] — lets a
     caller write one run of a larger image without slicing it out. *)
+
+val write_view : t -> blk:int -> count:int -> Blockstore.view -> unit
+(** {!write} from a view; a store view lands its extents by reference.
+    The fault check comes before the store mutates. *)
 
 val store : t -> Blockstore.t
 (** Direct access to the backing bytes, bypassing timing — used only by

@@ -312,19 +312,18 @@ let read t ~vol ~blk ~count =
   out
 
 (* Streaming read: the same drive/robot/bus model as [read], but each
-   [chunk] is placed at its final offset in [dst] and announced to [f]
-   the moment its last bus slice completes, and the fault plan is
+   [chunk] is placed at its final position in the view and announced to
+   [f] the moment its last bus slice completes, and the fault plan is
    consulted per chunk — so a media error can strike mid-transfer,
    after a prefix of the data has already been handed over. The
    callback only learns where ([off], in blocks) and how much
-   ([blocks]), so a fetch stages a whole cache line with a single
-   store→image copy. *)
-let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f =
-  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream_into: bad volume";
-  if chunk <= 0 then invalid_arg "Jukebox.read_stream_into: bad chunk";
+   ([blocks]). A store view takes each chunk by reference, so a fetch
+   stages a whole cache line without copying a byte. *)
+let read_stream t ~vol ~blk ~count ?(chunk = chunk_blocks) view f =
+  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.read_stream: bad volume";
+  if chunk <= 0 then invalid_arg "Jukebox.read_stream: bad chunk";
   let bs = t.prof.block_size in
-  if dst_off < 0 || dst_off + (count * bs) > Bytes.length dst then
-    invalid_arg "Jukebox.read_stream_into: view outside buffer";
+  Blockstore.check_view ~block_size:bs ~count view "Jukebox.read_stream";
   with_drive t vol ~for_write:false (fun d ->
       Fault.check ~site:d.track Fault.Read;
       let rec go off =
@@ -333,13 +332,16 @@ let read_stream_into t ~vol ~blk ~count ?(chunk = chunk_blocks) ~dst ~dst_off f 
           position_and_transfer t d ~blk:(blk + off) ~count:n ~rate:t.prof.read_rate ~op:"read";
           Fault.check ~site:d.track Fault.Read;
           t.rbytes <- t.rbytes + (n * bs);
-          Blockstore.read_into t.volumes.(vol) ~blk:(blk + off) ~count:n ~dst
-            ~dst_off:(dst_off + (off * bs));
+          Blockstore.read_view t.volumes.(vol) ~blk:(blk + off) ~count:n
+            (Blockstore.shift ~block_size:bs view off);
           f ~off ~blocks:n;
           go (off + n)
         end
       in
       go 0)
+
+let read_stream_into t ~vol ~blk ~count ?chunk ~dst ~dst_off f =
+  read_stream t ~vol ~blk ~count ?chunk (Blockstore.Buf (dst, dst_off)) f
 
 let write t ~vol ~blk data =
   if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write: bad volume";
@@ -364,12 +366,11 @@ let write t ~vol ~blk data =
    [await] runs before each chunk and may block holding the drive — the
    written-prefix watermark stall of a streaming write-out, which is how
    a real tape drive starves when the staging disk falls behind. *)
-let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?await f =
-  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write_stream_from: bad volume";
-  if chunk <= 0 then invalid_arg "Jukebox.write_stream_from: bad chunk";
+let write_stream t ~vol ~blk ~count ?(chunk = chunk_blocks) ?await view f =
+  if vol < 0 || vol >= nvolumes t then invalid_arg "Jukebox.write_stream: bad volume";
+  if chunk <= 0 then invalid_arg "Jukebox.write_stream: bad chunk";
   let bs = t.prof.block_size in
-  if src_off < 0 || src_off + (count * bs) > Bytes.length src then
-    invalid_arg "Jukebox.write_stream_from: view outside buffer";
+  Blockstore.check_view ~block_size:bs ~count view "Jukebox.write_stream";
   if t.prof.kind = Worm then
     for i = blk to blk + count - 1 do
       if Blockstore.is_written t.volumes.(vol) i then raise (Worm_overwrite { vol; blk = i })
@@ -382,9 +383,8 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
           (* consulted before the store mutates: a faulted chunk leaves
              no data, though the chunks before it stay written *)
           Fault.check ~site:d.track Fault.Write;
-          Blockstore.write_from t.volumes.(vol) ~blk:(blk + off) ~src
-            ~src_off:(src_off + (off * bs))
-            ~count:n;
+          Blockstore.write_view t.volumes.(vol) ~blk:(blk + off) ~count:n
+            (Blockstore.shift ~block_size:bs view off);
           position_and_transfer t d ~blk:(blk + off) ~count:n ~rate:t.prof.write_rate
             ~op:"write";
           t.wbytes <- t.wbytes + (n * bs);
@@ -393,6 +393,9 @@ let write_stream_from t ~vol ~blk ~src ~src_off ~count ?(chunk = chunk_blocks) ?
         end
       in
       go 0 count)
+
+let write_stream_from t ~vol ~blk ~src ~src_off ~count ?chunk ?await f =
+  write_stream t ~vol ~blk ~count ?chunk ?await (Blockstore.Buf (src, src_off)) f
 
 let swaps t = t.n_swaps
 let swap_time_total t = t.swap_total

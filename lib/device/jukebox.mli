@@ -71,6 +71,26 @@ val read_into : t -> vol:int -> blk:int -> count:int -> dst:Bytes.t -> dst_off:i
 (** {!read} landing directly in the caller's buffer at [dst_off]: same
     drive/robot/bus timing, no intermediate allocation. *)
 
+val read_stream :
+  t ->
+  vol:int ->
+  blk:int ->
+  count:int ->
+  ?chunk:int ->
+  Blockstore.view ->
+  (off:int -> blocks:int -> unit) ->
+  unit
+(** Like {!read_into}, but each [chunk]-block piece (default: the
+    64 KB transfer grain) is placed at its final position in the view
+    ([off] blocks past its origin) and announced to the callback the
+    moment its transfer completes — [off] is the piece's block offset
+    within the request. A store view takes each piece by reference
+    ({!Blockstore.share}). The fault plan is consulted per chunk, so a
+    media error can fire mid-stream after a prefix has been delivered;
+    the exception propagates and the delivered prefix stands. The bus
+    moves data in 64 KB slices whatever [chunk] is, so the simulated
+    timing is that of {!read_into}. *)
+
 val read_stream_into :
   t ->
   vol:int ->
@@ -81,15 +101,30 @@ val read_stream_into :
   dst_off:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Like {!read_into}, but each [chunk]-block piece (default: the
-    64 KB transfer grain) is written at its final position
-    ([dst_off + off * block_size]) and announced to the callback the
-    moment its transfer completes — [off] is the piece's block offset
-    within the request. The fault plan is consulted per chunk, so a
-    media error can fire mid-stream after a prefix has been delivered;
-    the exception propagates and the delivered prefix stands. The bus
-    moves data in 64 KB slices whatever [chunk] is, so the simulated
-    timing is that of {!read_into}. *)
+(** {!read_stream} into the buffer view at [dst_off] in [dst]. *)
+
+val write_stream :
+  t ->
+  vol:int ->
+  blk:int ->
+  count:int ->
+  ?chunk:int ->
+  ?await:(off:int -> blocks:int -> unit) ->
+  Blockstore.view ->
+  (off:int -> blocks:int -> unit) ->
+  unit
+(** Streaming write, symmetric to {!read_stream}: the volume mutates
+    and the fault plan is consulted per [chunk]-block piece, so a media
+    error can fire at chunk k leaving exactly the prefix written
+    (rewritable media tolerate a whole-segment rewrite on retry; WORM
+    overwrites are pre-checked and raise {!Worm_overwrite} before any
+    I/O). A store view lands each piece by reference. [await ~off
+    ~blocks] (if given) runs before each chunk and may block while
+    holding the drive — the written-prefix watermark stall of a
+    streaming write-out; the final callback fires after each chunk is
+    on the media. The bus moves data in 64 KB slices whatever [chunk]
+    is, so the simulated timing is that of {!write} plus any await
+    stalls. *)
 
 val write_stream_from :
   t ->
@@ -102,17 +137,7 @@ val write_stream_from :
   ?await:(off:int -> blocks:int -> unit) ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Streaming write, symmetric to {!read_stream_into}: the volume
-    mutates and the fault plan is consulted per [chunk]-block piece, so
-    a media error can fire at chunk k leaving exactly the prefix
-    written (rewritable media tolerate a whole-segment rewrite on
-    retry; WORM overwrites are pre-checked and raise {!Worm_overwrite}
-    before any I/O). [await ~off ~blocks] (if given) runs before each
-    chunk and may block while holding the drive — the written-prefix
-    watermark stall of a streaming write-out; the final callback fires
-    after each chunk is on the media. The bus moves data in 64 KB
-    slices whatever [chunk] is, so the simulated timing is that of
-    {!write} plus any await stalls. *)
+(** {!write_stream} from the buffer view at [src_off] in [src]. *)
 
 val reserve_write_drive : t -> bool -> unit
 (** When enabled, drive 0 is used only for volumes being written

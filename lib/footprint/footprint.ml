@@ -88,24 +88,28 @@ let read_blocks t ~vol ~seg ~off ~count =
 
 let read_seg t ~vol ~seg = read_blocks t ~vol ~seg ~off:0 ~count:t.seg_blocks
 
-let read_seg_stream_into t ~vol ~seg ?chunk ?(off = 0) ~dst ~dst_off f =
+let read_seg_stream t ~vol ~seg ?chunk ?(off = 0) view f =
   let jb, v = locate t vol in
-  if seg < 0 || seg >= real_segs t jb then
-    invalid_arg "Footprint.read_seg_stream_into: bad segment";
-  if off < 0 || off >= t.seg_blocks then invalid_arg "Footprint.read_seg_stream_into: bad offset";
+  if seg < 0 || seg >= real_segs t jb then invalid_arg "Footprint.read_seg_stream: bad segment";
+  if off < 0 || off >= t.seg_blocks then invalid_arg "Footprint.read_seg_stream: bad offset";
+  Device.Blockstore.check_view ~block_size:t.block_size ~count:t.seg_blocks view
+    "Footprint.read_seg_stream";
   (* [off] > 0 is the tail re-fetch of a partial cache line: only the
      suffix moves, but chunks still land at their final image offsets
      and the callback reports segment-absolute positions, so watermark
      code upstream is oblivious to where the read started *)
   let start = off in
   timed t (fun () ->
-      Jukebox.read_stream_into jb ~vol:v
+      Jukebox.read_stream jb ~vol:v
         ~blk:((seg * t.seg_blocks) + start)
-        ~count:(t.seg_blocks - start) ?chunk ~dst
-        ~dst_off:(dst_off + (start * t.block_size))
+        ~count:(t.seg_blocks - start) ?chunk
+        (Device.Blockstore.shift ~block_size:t.block_size view start)
         (fun ~off ~blocks ->
           t.rbytes <- t.rbytes + (blocks * t.block_size);
           f ~off:(start + off) ~blocks))
+
+let read_seg_stream_into t ~vol ~seg ?chunk ?off ~dst ~dst_off f =
+  read_seg_stream t ~vol ~seg ?chunk ?off (Device.Blockstore.Buf (dst, dst_off)) f
 
 let write_seg t ~vol ~seg data =
   if Bytes.length data <> t.seg_blocks * t.block_size then
@@ -122,26 +126,26 @@ let write_seg t ~vol ~seg data =
         t.wbytes <- t.wbytes + Bytes.length data;
         Written)
 
-(* Streaming write-out, symmetric to [read_seg_stream_into]: the
+(* Streaming write-out, symmetric to [read_seg_stream]: the
    end-of-medium check happens up front (as in [write_seg], before any
-   motion), then the image streams to the device in chunks with
+   motion), then the segment streams to the device in chunks with
    per-chunk fault checks. [await] is the written-prefix watermark hook:
    it runs before each chunk and may block until the staging read has
    delivered that piece. *)
-let write_seg_stream_from t ~vol ~seg ?chunk ~src ~src_off ?await f =
-  if src_off < 0 || src_off + (t.seg_blocks * t.block_size) > Bytes.length src then
-    invalid_arg "Footprint.write_seg_stream_from: view outside buffer";
+let write_seg_stream t ~vol ~seg ?chunk ?await view f =
+  Device.Blockstore.check_view ~block_size:t.block_size ~count:t.seg_blocks view
+    "Footprint.write_seg_stream";
   let jb, v = locate t vol in
   if seg < 0 || seg >= t.segs_per_volume then
-    invalid_arg "Footprint.write_seg_stream_from: bad segment";
+    invalid_arg "Footprint.write_seg_stream: bad segment";
   if t.full.(vol) || seg >= real_segs t jb then begin
     t.full.(vol) <- true;
     End_of_medium
   end
   else
     timed t (fun () ->
-        Jukebox.write_stream_from jb ~vol:v ~blk:(seg * t.seg_blocks) ~src ~src_off
-          ~count:t.seg_blocks ?chunk ?await
+        Jukebox.write_stream jb ~vol:v ~blk:(seg * t.seg_blocks) ~count:t.seg_blocks ?chunk
+          ?await view
           (fun ~off ~blocks ->
             t.wbytes <- t.wbytes + (blocks * t.block_size);
             f ~off ~blocks);

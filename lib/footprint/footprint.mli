@@ -42,6 +42,27 @@ val volume_loaded : t -> int -> bool
 val read_seg : t -> vol:int -> seg:int -> Bytes.t
 (** Fetches a whole segment image ([seg_blocks] blocks). *)
 
+val read_seg_stream :
+  t ->
+  vol:int ->
+  seg:int ->
+  ?chunk:int ->
+  ?off:int ->
+  Device.Blockstore.view ->
+  (off:int -> blocks:int -> unit) ->
+  unit
+(** Reads a whole segment into a [seg_blocks]-block view in
+    [chunk]-block pieces as each crosses the drive's bus: each chunk is
+    placed at its final offset before the callback fires, which
+    receives only the chunk's position and length in blocks. A store
+    view (a fetch image) takes each chunk by reference. A mid-transfer
+    media fault propagates after the already-delivered prefix.
+    [chunk = seg_blocks] is the blocking whole-segment read (same
+    simulated timing — only the delivery grain changes). With [off] > 0
+    only the segment's suffix from that block is read — the tail
+    re-fetch of a partial cache line — but chunks still land at their
+    final image offsets and callback positions stay segment-absolute. *)
+
 val read_seg_stream_into :
   t ->
   vol:int ->
@@ -52,16 +73,7 @@ val read_seg_stream_into :
   dst_off:int ->
   (off:int -> blocks:int -> unit) ->
   unit
-(** Reads a whole segment into [dst] in [chunk]-block pieces as each
-    crosses the drive's bus: each chunk is placed at its final offset
-    before the callback fires, which receives only the chunk's position
-    and length in blocks. A mid-transfer media fault propagates after
-    the already-delivered prefix. [chunk = seg_blocks] is the blocking
-    whole-segment read (same simulated timing — only the delivery grain
-    changes). With [off] > 0 only the segment's suffix from that block
-    is read — the tail re-fetch of a partial cache line — but chunks
-    still land at their final image offsets and callback positions stay
-    segment-absolute. *)
+(** {!read_seg_stream} into the buffer view at [dst_off] in [dst]. *)
 
 val read_blocks : t -> vol:int -> seg:int -> off:int -> count:int -> Bytes.t
 (** Partial read within a segment (used by fsck-style tools; HighLight
@@ -71,23 +83,23 @@ val write_seg : t -> vol:int -> seg:int -> Bytes.t -> write_result
 (** Writes a whole segment image. [End_of_medium] marks the volume full
     and writes nothing. *)
 
-val write_seg_stream_from :
+val write_seg_stream :
   t ->
   vol:int ->
   seg:int ->
   ?chunk:int ->
-  src:Bytes.t ->
-  src_off:int ->
   ?await:(off:int -> blocks:int -> unit) ->
+  Device.Blockstore.view ->
   (off:int -> blocks:int -> unit) ->
   write_result
-(** Streaming {!write_seg} from the segment-sized view at [src_off]:
-    per-chunk fault checks (a media error at chunk k leaves the prefix
-    written), [End_of_medium] still detected up front before any
-    motion. [await ~off ~blocks] (if given) runs before each chunk and
-    may block until the producer has made the piece available — the
-    written-prefix watermark of the streaming write-out pipeline; the
-    final callback fires as each chunk lands. *)
+(** Streaming {!write_seg} from a segment-sized view (a store view — a
+    write-out buffer — lands by reference): per-chunk fault checks (a
+    media error at chunk k leaves the prefix written), [End_of_medium]
+    still detected up front before any motion. [await ~off ~blocks] (if
+    given) runs before each chunk and may block until the producer has
+    made the piece available — the written-prefix watermark of the
+    streaming write-out pipeline; the final callback fires as each
+    chunk lands. *)
 
 val media_kind : t -> int -> Jukebox.media_kind
 (** Media kind of the jukebox holding the volume — write-outs to WORM

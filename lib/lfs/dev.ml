@@ -3,8 +3,8 @@ type t = {
   block_size : int;
   read : blk:int -> count:int -> Bytes.t;
   write : blk:int -> data:Bytes.t -> unit;
-  read_into : blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit;
-  write_from : blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit;
+  read_view : blk:int -> count:int -> Device.Blockstore.view -> unit;
+  write_view : blk:int -> count:int -> Device.Blockstore.view -> unit;
 }
 
 let of_disk d =
@@ -13,9 +13,8 @@ let of_disk d =
     block_size = Device.Disk.block_size d;
     read = (fun ~blk ~count -> Device.Disk.read d ~blk ~count);
     write = (fun ~blk ~data -> Device.Disk.write d ~blk data);
-    read_into = (fun ~blk ~count ~dst ~dst_off -> Device.Disk.read_into d ~blk ~count ~dst ~dst_off);
-    write_from =
-      (fun ~blk ~src ~src_off ~count -> Device.Disk.write_from d ~blk ~src ~src_off ~count);
+    read_view = Device.Disk.read_view d;
+    write_view = Device.Disk.write_view d;
   }
 
 let of_concat c =
@@ -24,10 +23,8 @@ let of_concat c =
     block_size = Device.Concat.block_size c;
     read = (fun ~blk ~count -> Device.Concat.read c ~blk ~count);
     write = (fun ~blk ~data -> Device.Concat.write c ~blk data);
-    read_into =
-      (fun ~blk ~count ~dst ~dst_off -> Device.Concat.read_into c ~blk ~count ~dst ~dst_off);
-    write_from =
-      (fun ~blk ~src ~src_off ~count -> Device.Concat.write_from c ~blk ~src ~src_off ~count);
+    read_view = Device.Concat.read_view c;
+    write_view = Device.Concat.write_view c;
   }
 
 let of_store s =
@@ -36,8 +33,6 @@ let of_store s =
     block_size = Device.Blockstore.block_size s;
     read = (fun ~blk ~count -> Device.Blockstore.read s ~blk ~count);
     write = (fun ~blk ~data -> Device.Blockstore.write s ~blk data);
-    read_into =
-      (fun ~blk ~count ~dst ~dst_off -> Device.Blockstore.read_into s ~blk ~count ~dst ~dst_off);
-    write_from =
-      (fun ~blk ~src ~src_off ~count -> Device.Blockstore.write_from s ~blk ~src ~src_off ~count);
+    read_view = Device.Blockstore.read_view s;
+    write_view = Device.Blockstore.write_view s;
   }

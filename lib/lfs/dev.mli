@@ -9,12 +9,13 @@ type t = {
   block_size : int;
   read : blk:int -> count:int -> Bytes.t;
   write : blk:int -> data:Bytes.t -> unit;
-  read_into : blk:int -> count:int -> dst:Bytes.t -> dst_off:int -> unit;
-      (** [read] landing directly in a caller buffer — the zero-copy
-          path segment staging uses. *)
-  write_from : blk:int -> src:Bytes.t -> src_off:int -> count:int -> unit;
-      (** [write] of a [count]-block view at byte offset [src_off] in
-          [src], with no slice allocation. *)
+  read_view : blk:int -> count:int -> Device.Blockstore.view -> unit;
+      (** [read] landing directly in a caller's view: a buffer, or a
+          store that takes the blocks by reference — the zero-copy path
+          segment staging and write-out use. *)
+  write_view : blk:int -> count:int -> Device.Blockstore.view -> unit;
+      (** [write] of [count] blocks from a view, with no slice
+          allocation; a store view lands by reference. *)
 }
 
 val of_disk : Device.Disk.t -> t

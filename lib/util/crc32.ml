@@ -24,5 +24,6 @@ let bytes ?(off = 0) ?len b =
 
 let string s = bytes (Bytes.unsafe_of_string s)
 
-let combine crc b =
-  update (crc lxor 0xffffffff) b 0 (Bytes.length b) lxor 0xffffffff
+let combine ?(off = 0) ?len crc b =
+  let len = match len with None -> Bytes.length b - off | Some l -> l in
+  update (crc lxor 0xffffffff) b off len lxor 0xffffffff

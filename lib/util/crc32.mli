@@ -6,6 +6,8 @@ val bytes : ?off:int -> ?len:int -> Bytes.t -> int
 
 val string : string -> int
 
-val combine : int -> Bytes.t -> int
-(** Feeds more data into a running checksum, so multi-block data sums can
-    be computed without concatenation. *)
+val combine : ?off:int -> ?len:int -> int -> Bytes.t -> int
+(** Feeds more data (a byte range, by default all of [b]) into a
+    running checksum, so multi-block data sums can be computed without
+    concatenation; [bytes] of the empty range is 0, the starting
+    value. *)

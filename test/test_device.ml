@@ -577,9 +577,138 @@ let prop_blockstore_model =
       List.for_all (fun op -> step op && agrees s model) ops
       && List.for_all (fun (c, m) -> agrees c m) !copies)
 
+(* Copy-on-write sharing between stores against a per-block model:
+   three stores of mixed sizes (cut last extents included), random
+   writes, shares, block erasures, snapshots and reads, with offsets
+   and lengths biased to straddle or exactly cover 16-block extents so
+   both whole-extent sharing and ragged blits happen. Every store must
+   match its model after every step — a write into a shared extent that
+   leaks into another store shows up at once. Operation arguments are
+   raw; each is resolved against the stores' sizes when it runs, since
+   a snapshot can change a slot's size. *)
+type share_op =
+  | H_write of int * int * int * int  (** store, blk, count, pattern seed *)
+  | H_share of int * int * int * int * int  (** src, dst, src blk, dst blk, count *)
+  | H_erase_block of int * int
+  | H_copy of int * int  (** slot [dst] becomes a snapshot of store [src] *)
+  | H_read of int * int * int
+
+let pp_share_op = function
+  | H_write (i, b, c, x) -> Printf.sprintf "write s%d %d+%d #%d" i b c x
+  | H_share (i, j, b, d, c) -> Printf.sprintf "share s%d@%d -> s%d@%d +%d" i b j d c
+  | H_erase_block (i, b) -> Printf.sprintf "erase_block s%d %d" i b
+  | H_copy (i, j) -> Printf.sprintf "copy s%d -> s%d" i j
+  | H_read (i, b, c) -> Printf.sprintf "read s%d %d+%d" i b c
+
+let gen_share_case =
+  QCheck.Gen.(
+    let size = oneofl [ 1; 15; 16; 17; 37 ] in
+    let store = int_bound 2 in
+    let blk =
+      frequency
+        [
+          (1, int_bound 36);
+          (* on, or within three blocks of, an extent edge *)
+          (2, map (fun k -> 16 * k) (int_bound 2));
+          (2, map2 (fun k d -> max 0 ((16 * k) + d)) (int_bound 2) (int_range (-3) 3));
+        ]
+    in
+    let count = frequency [ (2, int_range 1 40); (2, oneofl [ 16; 32 ]); (1, int_range 14 18) ] in
+    let two_stores = store >>= fun i -> int_bound 1 >|= fun k -> (i, (i + 1 + k) mod 3) in
+    let op =
+      frequency
+        [
+          (4, map3 (fun (i, b) c x -> H_write (i, b, c, x)) (pair store blk) count (int_bound 250));
+          ( 5,
+            map3
+              (fun (i, j) (b, d) c -> H_share (i, j, b, d, c))
+              two_stores (pair blk blk) count );
+          (2, map2 (fun i b -> H_erase_block (i, b)) store blk);
+          (1, map (fun (i, j) -> H_copy (i, j)) two_stores);
+          (2, map3 (fun i b c -> H_read (i, b, c)) store blk count);
+        ]
+    in
+    triple size size size >>= fun (a, b, c) ->
+    list_size (int_range 1 30) op >|= fun ops -> ([| a; b; c |], ops))
+
+let prop_share_model =
+  QCheck.Test.make ~name:"share and copy-on-write match a per-block model" ~count:400
+    (QCheck.make gen_share_case ~print:(fun (sizes, ops) ->
+         Printf.sprintf "sizes %s: %s"
+           (String.concat "," (Array.to_list (Array.map string_of_int sizes)))
+           (String.concat "; " (List.map pp_share_op ops))))
+    (fun (sizes, ops) ->
+      let bs = 8 in
+      let zero = Bytes.make bs '\000' in
+      let stores = Array.map (fun n -> Blockstore.create ~block_size:bs ~nblocks:n) sizes in
+      let models = Array.map (fun n -> Array.make n None) sizes in
+      let agrees s model =
+        let n = Array.length model in
+        let whole = Blockstore.read s ~blk:0 ~count:n in
+        let folded =
+          Blockstore.fold_bytes s ~blk:0 ~count:n ~init:[] (fun acc b off len ->
+              Bytes.sub b off len :: acc)
+        in
+        Bytes.equal (Bytes.concat Bytes.empty (List.rev folded)) whole
+        && Blockstore.written_blocks s
+        = Array.fold_left (fun k b -> if b = None then k else k + 1) 0 model
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i b ->
+                  Blockstore.is_written s i = (b <> None)
+                  && Bytes.sub whole (i * bs) bs = Option.value b ~default:zero)
+                model)
+      in
+      (* a block number inside a store of [n] blocks, and a length that
+         fits from there *)
+      let at n b = b mod n and len room c = 1 + ((c - 1) mod room) in
+      let step = function
+        | H_write (i, b, c, x) ->
+            let n = Array.length models.(i) in
+            let blk = at n b in
+            let count = len (n - blk) c in
+            let src = Bytes.init (count * bs) (fun k -> Char.chr ((x + (k * 7)) land 0xff)) in
+            Blockstore.write_from stores.(i) ~blk ~src ~src_off:0 ~count;
+            for k = 0 to count - 1 do
+              models.(i).(blk + k) <- Some (Bytes.sub src (k * bs) bs)
+            done
+        | H_share (i, j, b, d, c) ->
+            let src_blk = at (Array.length models.(i)) b
+            and dst_blk = at (Array.length models.(j)) d in
+            let count =
+              len (min (Array.length models.(i) - src_blk) (Array.length models.(j) - dst_blk)) c
+            in
+            Blockstore.share ~src:stores.(i) ~src_blk ~dst:stores.(j) ~dst_blk ~count;
+            for k = 0 to count - 1 do
+              models.(j).(dst_blk + k) <-
+                Some (Option.value models.(i).(src_blk + k) ~default:zero)
+            done
+        | H_erase_block (i, b) ->
+            let blk = at (Array.length models.(i)) b in
+            Blockstore.erase_block stores.(i) blk;
+            models.(i).(blk) <- None
+        | H_copy (i, j) ->
+            stores.(j) <- Blockstore.copy stores.(i);
+            models.(j) <- Array.copy models.(i)
+        | H_read (i, b, c) ->
+            let n = Array.length models.(i) in
+            let blk = at n b in
+            let count = len (n - blk) c in
+            let got = Blockstore.read stores.(i) ~blk ~count in
+            for k = 0 to count - 1 do
+              if Bytes.sub got (k * bs) bs <> Option.value models.(i).(blk + k) ~default:zero then
+                QCheck.Test.fail_reportf "read s%d block %d differs from the model" i (blk + k)
+            done
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Array.for_all2 agrees stores models)
+        ops)
+
 let props =
   [ prop_concat_roundtrip; prop_stripe_locate_bijective; prop_seek_monotone;
-    prop_jukebox_roundtrip; prop_blockstore_model ]
+    prop_jukebox_roundtrip; prop_blockstore_model; prop_share_model ]
 
 let suite =
   [

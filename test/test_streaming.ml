@@ -286,63 +286,24 @@ let test_midwrite_media_error () =
     "no blocked processes" []
     (Sim.Engine.blocked_process_names e)
 
-(* ---------- recycled segment buffers ---------- *)
+(* ---------- segments moved by reference ---------- *)
 
-(* Segment buffers go back on [State.free_images] when the image FIFO
-   drops a Resident line's image and when a write-out completes; fetches,
-   write-outs and the migrator take them again. Run more fetches than
-   the FIFO holds, tear one fetch mid-stream (a Partial line, then a
-   tail re-fetch), and run write-outs back to back on recycled buffers.
-   All along, no buffer on the free list may be physically equal to any
-   cached line's image or any live write-out's buffer, and every byte
-   read back — from the cache and from the platters — must be the byte
-   written. *)
-let test_recycled_buffers () =
+(* Segments move between stores by reference: a fetch shares the
+   volume's extents into its image and the image's into the cache disk;
+   a write-out shares the disk's into its image and on to the volume.
+   Run more fetches than the image FIFO holds, tear one fetch mid-stream
+   (a Partial line, then a tail re-fetch), and run write-outs back to
+   back. Then evict every line, let the LFS write new files over the
+   freed disk segments, and check what sharing puts at risk: every
+   migrated file still reads back byte-exact from tape, and the torn
+   fetch's image still holds the prefix it delivered. *)
+let test_shared_segments_survive_rewrite () =
   let (), e =
     in_sim_e (fun engine ->
         with_plan (fun () ->
             let hl, _fp = make_slow_world ~cache_segs:40 engine in
             let fs = Hl.fs hl in
             let st = Hl.state hl in
-            let violations = ref [] and free_seen = ref 0 in
-            (* every buffer seen on a line, with the first tseg it served *)
-            let owners = ref [] and reused = ref 0 and wo_reused = ref 0 in
-            let note_owner b tindex =
-              match List.find_opt (fun (b', _) -> b' == b) !owners with
-              | Some (_, t) -> if t <> tindex then incr reused
-              | None -> owners := (b, tindex) :: !owners
-            in
-            let audit where =
-              let free = List.of_seq (Stack.to_seq st.State.free_images) in
-              if free <> [] then incr free_seen;
-              let rec dup = function
-                | b :: rest -> List.exists (fun b' -> b' == b) rest || dup rest
-                | [] -> false
-              in
-              if dup free then violations := (where ^ ": buffer listed twice") :: !violations;
-              Seg_cache.iter (Hl.cache hl) (fun l ->
-                  Option.iter (fun b -> note_owner b l.Seg_cache.tindex) l.Seg_cache.image;
-                  Option.iter
-                    (fun b -> if List.exists (fun (b', _) -> b' == b) !owners then incr wo_reused)
-                    l.Seg_cache.wo_buf;
-                  let aliased = function
-                    | Some b -> List.exists (fun f -> f == b) free
-                    | None -> false
-                  in
-                  if aliased l.Seg_cache.image || aliased l.Seg_cache.wo_buf then
-                    violations :=
-                      Printf.sprintf "%s: free buffer still held by tseg %d" where
-                        l.Seg_cache.tindex
-                      :: !violations)
-            in
-            st.State.on_writeout_chunk <- (fun _ _ -> audit "write-out chunk");
-            st.State.on_fetch <- (fun _ -> audit "fetch done");
-            let stop = ref false in
-            Sim.Engine.spawn engine ~name:"auditor" (fun () ->
-                while not !stop do
-                  audit "tick";
-                  Sim.Engine.delay 0.05
-                done);
             let files prefix n seed =
               List.init n (fun i -> (Printf.sprintf "/%s%d" prefix i, bytes_pattern small_bytes (seed + i)))
             in
@@ -362,12 +323,17 @@ let test_recycled_buffers () =
             in
             let first = files "f" 14 20 in
             write_and_migrate first;
-            (* more fetches than the FIFO of six (two drives) holds *)
+            (* whole-segment fetches, more than the FIFO holds: each
+               image shares the volume's extent, and its landing shares
+               that extent with the cache disk *)
+            check Alcotest.bool "more fetches than attached images" true
+              (List.length first > State.image_fifo_depth st);
+            Hl.set_streaming_fetch hl false;
             read_back "fetched" first;
-            check Alcotest.bool "a fetch landed in a recycled image" true (!reused > 0);
-            (* a mid-stream media error on a fetch that draws a recycled
-               buffer: the first chunk lands, the next read op faults,
-               and the delivered prefix stays as a Partial line *)
+            Hl.set_streaming_fetch hl true;
+            (* a mid-stream media error: the first chunk lands, the next
+               read op faults, and the delivered prefix stays as a
+               Partial line *)
             let path, data = List.hd first in
             Hl.eject_tertiary_copies hl ~paths:[ path ];
             let ino = Dir.namei fs path in
@@ -379,29 +345,74 @@ let test_recycled_buffers () =
             check Alcotest.bool "block 0 served from the delivered prefix" true
               (Bytes.equal (File.read fs ino ~off:0 ~len:4096) (Bytes.sub data 0 4096));
             Sim.Engine.delay 30.0;
-            check Alcotest.bool "torn fetch left a Partial line" true
-              (List.exists
-                 (fun l -> l.Seg_cache.state = Seg_cache.Partial)
-                 (Seg_cache.lines (Hl.cache hl)));
-            (* past the watermark: the tail re-fetch completes the line *)
+            let partial =
+              match
+                List.find_opt
+                  (fun l -> l.Seg_cache.state = Seg_cache.Partial)
+                  (Seg_cache.lines (Hl.cache hl))
+              with
+              | Some l -> l
+              | None -> Alcotest.fail "torn fetch left no Partial line"
+            in
+            let image = Option.get partial.Seg_cache.image in
+            let prefix_blocks = partial.Seg_cache.valid_blocks in
+            let prefix = Device.Blockstore.read image ~blk:0 ~count:prefix_blocks in
+            (* past the watermark: the tail re-fetch completes the line
+               in the same image and lands it on the cache disk *)
             check Alcotest.bool "tail re-fetch reads back" true
               (Bytes.equal (Hl.read_file hl path ()) data);
             check Alcotest.bool "a tail re-fetch ran" true ((Hl.stats hl).Hl.tail_refetch_bytes > 0);
             st.State.retry.State.max_attempts <- 8;
-            (* write-outs (and staging) on recycled buffers *)
             let second = files "g" 6 40 in
             write_and_migrate second;
-            check Alcotest.bool "a write-out ran in a former fetch image" true (!wo_reused > 0);
-            Hl.eject_tertiary_copies hl ~paths:(List.map fst first);
-            read_back "from tape" second;
-            read_back "from tape" first;
-            read_back "cached" (first @ second);
+            let migrated = first @ second in
+            read_back "cached" migrated;
+            (* evict every line, remembering what its disk segment held *)
+            let seg_bytes seg =
+              st.State.disk.Dev.read ~blk:(State.disk_seg_base st seg) ~count:(State.seg_blocks st)
+            in
+            let lines = Seg_cache.lines (Hl.cache hl) in
+            Hl.eject_tertiary_copies hl ~paths:(List.map fst migrated);
+            let held =
+              List.filter_map
+                (fun (l, seg) ->
+                  if seg >= 0 && Seg_cache.find (Hl.cache hl) l.Seg_cache.tindex = None then
+                    Some (seg, seg_bytes seg)
+                  else None)
+                (List.map (fun l -> (l, l.Seg_cache.disk_seg)) lines)
+            in
+            check Alcotest.bool
+              (Printf.sprintf "lines evicted (%d of %d)" (List.length held) (List.length lines))
+              true
+              (List.length held >= 10);
+            (* the LFS writes new files over the freed segments: rounds
+               of writes, each round replacing the last, with the
+               cleaner keeping clean segments ahead of the log *)
+            let rewritten () =
+              List.length (List.filter (fun (seg, b) -> not (Bytes.equal (seg_bytes seg) b)) held)
+            in
+            let rec churn round prev =
+              let batch = files (Printf.sprintf "h%d_" round) 8 (60 + round) in
+              List.iter (fun (path, data) -> Hl.write_file hl path data) batch;
+              List.iter (fun (path, _) -> Dir.unlink fs path) prev;
+              Fs.checkpoint fs;
+              ignore (Cleaner.clean_until fs ~target_clean:16 ());
+              if round = 12 || rewritten () = List.length held then batch
+              else churn (round + 1) batch
+            in
+            let fresh = churn 0 [] in
+            let rewritten = rewritten () in
+            check Alcotest.bool
+              (Printf.sprintf "freed cache segments rewritten (%d of %d)" rewritten
+                 (List.length held))
+              true
+              (rewritten * 2 >= List.length held);
+            read_back "from tape after the rewrite" migrated;
+            read_back "new file" fresh;
+            check Alcotest.bool "the torn fetch's prefix is unchanged" true
+              (Bytes.equal (Device.Blockstore.read image ~blk:0 ~count:prefix_blocks) prefix);
             check (Alcotest.list Alcotest.string) "invariants" [] (Hl.check hl);
-            stop := true;
-            Sim.Engine.delay 0.1;
-            Hl.shutdown_service hl;
-            check Alcotest.bool "the audit saw a non-empty free list" true (!free_seen > 0);
-            check (Alcotest.list Alcotest.string) "no free buffer aliased" [] !violations))
+            Hl.shutdown_service hl))
   in
   check (Alcotest.list Alcotest.string) "no blocked processes" []
     (Sim.Engine.blocked_process_names e)
@@ -701,8 +712,8 @@ let suite =
       [
         Alcotest.test_case "mid-write media error: retry leaves volume consistent" `Quick
           test_midwrite_media_error;
-        Alcotest.test_case "recycled buffers never alias live images" `Quick
-          test_recycled_buffers;
+        Alcotest.test_case "shared segments survive disk rewrites" `Quick
+          test_shared_segments_survive_rewrite;
       ] );
     ( "streaming.idle",
       [

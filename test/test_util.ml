@@ -65,7 +65,11 @@ let test_crc32_combine () =
   let a = Bytes.of_string "hello " and b = Bytes.of_string "world" in
   let whole = Crc32.string "hello world" in
   let stepwise = Crc32.combine (Crc32.bytes a) b in
-  check Alcotest.int "combine" whole stepwise
+  check Alcotest.int "combine" whole stepwise;
+  (* ranges of larger buffers, starting from the checksum of nothing *)
+  let pieces = Bytes.of_string "..hello " and rest = Bytes.of_string "world!" in
+  check Alcotest.int "combine ranges" whole
+    (Crc32.combine ~off:0 ~len:5 (Crc32.combine ~off:2 ~len:6 0 pieces) rest)
 
 let test_crc32_range () =
   let b = Bytes.of_string "xxhelloyy" in
