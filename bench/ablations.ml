@@ -54,7 +54,7 @@ let run_policy_trace ~stp ~cache_policy =
       in
       let fs = Highlight.Hl.fs hl in
       let st = Highlight.Hl.state hl in
-      Obs.Decision.install ~metrics:(Highlight.Hl.metrics hl) ();
+      Obs.Decision.install engine;
       ignore (Dir.mkdir fs "/archive");
       let events =
         Trace.generate ~seed:7

@@ -54,15 +54,14 @@ let run_plan plan_text =
       | None -> ()
       | Some text -> (
           match Sim.Fault.parse text with
-          | Ok plan -> Sim.Fault.install engine ~metrics:(Highlight.Hl.metrics hl) plan
+          | Ok plan -> Sim.Fault.install engine plan
           | Error msg -> failwith ("faulty bench: bad plan: " ^ msg)));
       let flight = Sim.Flight.start ~dir:"blackbox-faulty" engine in
       let health =
         match Obs.Health.parse slo_text with
         | Error msg -> failwith ("faulty bench: bad SLO: " ^ msg)
         | Ok objectives ->
-            Obs.Health.install ~quiet:true ~flight ~metrics:(Highlight.Hl.metrics hl)
-              engine objectives
+            Obs.Health.install ~quiet:true ~flight engine objectives
       in
       Highlight.Hl.set_prefetch_sequential hl ~depth:2;
       let st = Highlight.Hl.state hl in

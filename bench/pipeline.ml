@@ -65,15 +65,14 @@ let run_mode label io_mode =
       Highlight.Hl.reset_stats hl;
       (* attribute only the measured phase: the setup writeouts above
          are not what the serial-vs-pipelined comparison is about *)
-      Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
+      Sim.Ledger.install engine;
       (* clean scenario under the same SLO as the faulty bench: the
          health plane must stay silent here *)
       let health =
         match Obs.Health.parse "fetch_p99: demand_fetch.p99 < 40s\nerr: error_rate < 1%\n" with
         | Error msg -> failwith ("pipeline bench: bad SLO: " ^ msg)
         | Ok objectives ->
-            Obs.Health.install ~quiet:true ~metrics:(Highlight.Hl.metrics hl) engine
-              objectives
+            Obs.Health.install ~quiet:true engine objectives
       in
       let swaps0 = Footprint.swaps fp in
       let t0 = Sim.Engine.now engine in

@@ -80,7 +80,7 @@ let run_latency ~streaming =
       Highlight.Hl.eject_tertiary_copies hl ~paths;
       Highlight.Hl.reset_stats hl;
       (* attribute the measured reads only, not the setup migration *)
-      Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
+      Sim.Ledger.install engine;
       let ok = ref true in
       let t0 = Sim.Engine.now engine in
       List.iteri

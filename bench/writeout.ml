@@ -98,7 +98,7 @@ let run_writeout ~streaming =
         let stream_chunk = st.Highlight.State.stream_chunk_blocks in
         if not streaming then st.Highlight.State.stream_chunk_blocks <- wo_seg_blocks;
         (* attribute the measured copy-outs only, not the setup staging *)
-        Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
+        Sim.Ledger.install engine;
         let ok = ref true in
         let t0 = Sim.Engine.now engine in
         let per_seg =

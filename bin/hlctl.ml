@@ -355,7 +355,7 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
       let fault_plan = Option.map read_fault_plan faults in
       let hl, jukebox = build_world engine ~nsegs ~nvolumes ~seg_blocks ~media in
       if profile <> None || slo_spec <> None then
-        Sim.Ledger.install ~metrics:(Highlight.Hl.metrics hl) engine;
+        Sim.Ledger.install engine;
       (* the health plane: flight-recorder ring (shares the full tracer
          when --trace is also given), SLO burn-rate engine, watchdogs *)
       Option.iter
@@ -363,23 +363,15 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
           let objectives = read_slo_spec spec in
           let fl = Sim.Flight.start ~dir:blackbox_dir engine in
           flight := Some fl;
-          health :=
-            Some
-              (Obs.Health.install ~flight:fl ~metrics:(Highlight.Hl.metrics hl) engine objectives))
+          health := Some (Obs.Health.install ~flight:fl engine objectives))
         slo_spec;
-      (* every unrecorded trace event (buffer drop or sampled out) now
-         counts in the trace.dropped metric *)
-      Option.iter
-        (fun tr -> Sim.Trace.attach_metrics tr (Highlight.Hl.metrics hl))
-        (Sim.Trace.current ());
       (* arm the decision observatory (and its shadows) before any
          migration or eviction decision can fire *)
       let obs_on = decisions_file <> None || shadow_spec <> None in
       let shadows =
         if not obs_on then None
         else begin
-          Obs.Decision.install ~window:decision_window
-            ~metrics:(Highlight.Hl.metrics hl) ();
+          Obs.Decision.install ~window:decision_window engine;
           match shadow_spec with
           | None -> None
           | Some spec -> (
@@ -402,11 +394,8 @@ let simulate nsegs nvolumes seg_blocks media files file_kb policy verbose trace_
         snapshots_file;
       let ra = apply_readahead hl readahead in
       Highlight.Hl.set_idle_readahead hl idle_readahead;
-      (* armed after mkfs: the plan targets the scenario, not the format,
-         and the instance registry now exists for the fault counters *)
-      Option.iter
-        (fun plan -> Sim.Fault.install engine ~metrics:(Highlight.Hl.metrics hl) plan)
-        fault_plan;
+      (* armed after mkfs: the plan targets the scenario, not the format *)
+      Option.iter (Sim.Fault.install engine) fault_plan;
       let fs = Highlight.Hl.fs hl in
       let st = Highlight.Hl.state hl in
       ignore (Dir.mkdir fs "/data");

@@ -65,7 +65,10 @@ val cache : t -> Seg_cache.t
 
 val metrics : t -> Sim.Metrics.t
 (** The instance-wide metrics registry (counters, gauges, latency
-    histograms); export with {!Sim.Metrics.to_json}. *)
+    histograms); export with {!Sim.Metrics.to_json}. {!mkfs} and
+    {!mount} install it as the engine's registry
+    ({!Sim.Metrics.install}), so the engine's tracer, fault plan,
+    ledgers, decision log and health plane report into it too. *)
 
 val shutdown_service : t -> unit
 (** Stops the service/I-O processes and drains their block points, so a
@@ -212,7 +215,7 @@ type stats = {
       (** Requests that exhausted the retry policy (["service.io_failures"]):
           the fetch or write-out surfaced an error instead of data. *)
   faults_injected : int;
-      (** Faults fired by the ambient {!Sim.Fault} plan against this
+      (** Faults fired by the engine's {!Sim.Fault} plan against this
           instance's devices (["faults.injected"]; 0 with no plan). *)
   tcleaner_volumes_cleaned : int;
       (** Tertiary-volume cleaning passes completed

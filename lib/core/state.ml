@@ -103,10 +103,14 @@ type t = {
 exception Tertiary_full
 
 let create ~engine ~aspace ~disk ~fp ~cache =
+  let metrics = Sim.Metrics.create () in
+  (* the engine's instruments (tracer, faults, ledgers, decisions,
+     health) report into the instance's registry from here on *)
+  Sim.Metrics.install engine metrics;
   let st =
   {
     engine;
-    metrics = Sim.Metrics.create ();
+    metrics;
     aspace;
     disk;
     fp;

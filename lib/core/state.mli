@@ -182,6 +182,8 @@ val create :
   fp:Footprint.t ->
   cache:Seg_cache.t ->
   t
+(** A fresh instance state whose [metrics] registry becomes the
+    engine's ({!Sim.Metrics.install}). *)
 
 val submit : t -> request -> unit
 (** Enqueue a request for the service process and signal

@@ -73,67 +73,59 @@ type t = {
   mutable sinks : (record -> unit) list;
   mutable file_access_sinks : (now:float -> int -> unit) list;
   mutable seg_access_sinks : (now:float -> int -> unit) list;
-  metrics : Sim.Metrics.t option;
+  engine : Sim.Engine.t;
 }
 
-(* [on] mirrors [current]: hot paths test one immediate bool, never an
-   option match. *)
-let on = ref false
-let current : t option ref = ref None
+let key : t option Sim.Engine.key = Sim.Engine.new_key (fun () -> None)
+let current () = Sim.Engine.get_current key
 
 let install ?(cap = 4096) ?(max_rejected = 32) ?(window = 1800.0) ?(half_life = 3600.0)
-    ?metrics () =
+    engine =
   if cap <= 0 || max_rejected < 0 || window <= 0.0 then invalid_arg "Decision.install";
-  current :=
-    Some
-      {
-        cap;
-        max_rejected;
-        window;
-        ring = Queue.create ();
-        next_seq = 0;
-        n_dropped = 0;
-        file_heat = Heat.create ~half_life ();
-        seg_heat = Heat.create ~half_life ();
-        demoted_seg = Hashtbl.create 64;
-        demoted_file = Hashtbl.create 64;
-        evicted_seg = Hashtbl.create 64;
-        seg_demotions = 0;
-        seg_mistakes = 0;
-        file_demotions = 0;
-        file_recalls = 0;
-        recalled_bytes = 0;
-        evict_stats = Hashtbl.create 4;
-        clean_stats = Hashtbl.create 4;
-        sinks = [];
-        file_access_sinks = [];
-        seg_access_sinks = [];
-        metrics;
-      };
-  on := true
+  Sim.Engine.set engine key
+    (Some
+       {
+         cap;
+         max_rejected;
+         window;
+         ring = Queue.create ();
+         next_seq = 0;
+         n_dropped = 0;
+         file_heat = Heat.create ~half_life ();
+         seg_heat = Heat.create ~half_life ();
+         demoted_seg = Hashtbl.create 64;
+         demoted_file = Hashtbl.create 64;
+         evicted_seg = Hashtbl.create 64;
+         seg_demotions = 0;
+         seg_mistakes = 0;
+         file_demotions = 0;
+         file_recalls = 0;
+         recalled_bytes = 0;
+         evict_stats = Hashtbl.create 4;
+         clean_stats = Hashtbl.create 4;
+         sinks = [];
+         file_access_sinks = [];
+         seg_access_sinks = [];
+         engine;
+       })
 
-let uninstall () =
-  current := None;
-  on := false
-
-let enabled () = !on
-let mistake_window () = match !current with Some s -> s.window | None -> 0.0
+let uninstall () = Sim.Engine.set (Sim.Engine.current ()) key None
+let enabled () = match current () with None -> false | Some _ -> true
+let mistake_window () = match current () with Some s -> s.window | None -> 0.0
 
 let bump ?(by = 1) s name =
-  match s.metrics with
-  | Some m -> Sim.Metrics.incr ~by (Sim.Metrics.counter m name)
-  | None -> ()
+  Sim.Metrics.incr ~by (Sim.Metrics.counter (Sim.Metrics.of_engine s.engine) name)
 
-let count_event name = match !current with Some s -> bump s name | None -> ()
+let count_event name = match current () with Some s -> bump s name | None -> ()
 
 let add_sink f =
-  match !current with Some s -> s.sinks <- s.sinks @ [ f ] | None -> ()
+  match current () with Some s -> s.sinks <- s.sinks @ [ f ] | None -> ()
 
 let add_file_access_sink f =
-  match !current with Some s -> s.file_access_sinks <- s.file_access_sinks @ [ f ] | None -> ()
+  match current () with Some s -> s.file_access_sinks <- s.file_access_sinks @ [ f ] | None -> ()
 
 let add_segment_access_sink f =
-  match !current with Some s -> s.seg_access_sinks <- s.seg_access_sinks @ [ f ] | None -> ()
+  match current () with Some s -> s.seg_access_sinks <- s.seg_access_sinks @ [ f ] | None -> ()
 
 let take n l =
   let rec go acc n = function
@@ -143,7 +135,7 @@ let take n l =
   go [] n l
 
 let emit ~now ~site ~policy ?(budget = 0) ~chosen ~rejected () =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       let rejected = take s.max_rejected rejected in
@@ -160,7 +152,7 @@ let emit ~now ~site ~policy ?(budget = 0) ~chosen ~rejected () =
 (* ---------- heat ---------- *)
 
 let touch_file ~now ?(write = false) inum =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       Heat.touch s.file_heat ~now ~weight:(if write then 2.0 else 1.0) inum;
@@ -176,10 +168,10 @@ let touch_file ~now ?(write = false) inum =
       List.iter (fun f -> f ~now inum) s.file_access_sinks
 
 let file_temp ~now inum =
-  match !current with None -> 0.0 | Some s -> Heat.get s.file_heat ~now inum
+  match current () with None -> 0.0 | Some s -> Heat.get s.file_heat ~now inum
 
 let segment_temp ~now tindex =
-  match !current with None -> 0.0 | Some s -> Heat.get s.seg_heat ~now tindex
+  match current () with None -> 0.0 | Some s -> Heat.get s.seg_heat ~now tindex
 
 (* ---------- closed-loop notes ---------- *)
 
@@ -192,7 +184,7 @@ let evict_stat s policy =
       es
 
 let note_segment_access ~now ~miss tindex =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       Heat.touch s.seg_heat ~now tindex;
@@ -218,7 +210,7 @@ let note_segment_access ~now ~miss tindex =
       List.iter (fun f -> f ~now tindex) s.seg_access_sinks
 
 let note_segment_demoted ~now tindex =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       s.seg_demotions <- s.seg_demotions + 1;
@@ -226,7 +218,7 @@ let note_segment_demoted ~now tindex =
       bump s "obs.segment_demotions"
 
 let note_file_demoted ~now ~inum ~bytes =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       s.file_demotions <- s.file_demotions + 1;
@@ -234,7 +226,7 @@ let note_file_demoted ~now ~inum ~bytes =
       bump s "obs.file_demotions"
 
 let note_evicted ~now ~policy tindex =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       let es = evict_stat s policy in
@@ -243,7 +235,7 @@ let note_evicted ~now ~policy tindex =
       bump s "obs.evictions"
 
 let note_cleaned ~policy ~segments ~bytes_moved ~bytes_reclaimed =
-  match !current with
+  match current () with
   | None -> ()
   | Some s ->
       let cs =
@@ -292,7 +284,7 @@ type sli = {
 let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 let sli () =
-  match !current with
+  match current () with
   | None -> None
   | Some s ->
       let by_evict_policy =
@@ -340,7 +332,7 @@ let sli () =
         }
 
 let records () =
-  match !current with
+  match current () with
   | None -> []
   | Some s -> List.rev (Queue.fold (fun acc r -> r :: acc) [] s.ring)
 

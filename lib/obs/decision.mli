@@ -1,6 +1,6 @@
 (** The migration observatory's decision-audit log.
 
-    An ambient (install/uninstall, like {!Sim.Ledger}) bounded log of
+    A per-engine (install/uninstall, like {!Sim.Ledger}) bounded log of
     every policy decision the hierarchy makes: which files to demote,
     which cleaner victims to pick, which volume to erase, which cache
     line to evict. Each record carries the scored inputs (idle time,
@@ -21,7 +21,8 @@
 
     Zero-cost-when-off discipline: every hot-path call site must guard
     with [if Decision.enabled () then ...] so the disabled observatory
-    allocates nothing — [enabled] is a single flag load. *)
+    allocates nothing — [enabled] is one slot load on
+    {!Sim.Engine.current}. *)
 
 type site =
   | Automigrate  (** the automigrate daemon's acted-on file set *)
@@ -71,15 +72,17 @@ val install :
   ?max_rejected:int ->
   ?window:float ->
   ?half_life:float ->
-  ?metrics:Sim.Metrics.t ->
-  unit ->
+  Sim.Engine.t ->
   unit
-(** Defaults: 4096-record ring, 32 rejected candidates per record, a
-    1800 s mistake/regret window, one-hour heat half-life. When a
-    metrics registry is given, obs.* counters are bumped there too so
-    snapshots and exported metric files see the SLIs. *)
+(** Installs a fresh log on [engine]. Defaults: 4096-record ring, 32
+    rejected candidates per record, a 1800 s mistake/regret window,
+    one-hour heat half-life. The obs.* counters are bumped in the
+    engine's registry ({!Sim.Metrics.of_engine}) too, so snapshots and
+    exported metric files see the SLIs. *)
 
 val uninstall : unit -> unit
+(** Uninstalls the current engine's log. *)
+
 val enabled : unit -> bool
 val mistake_window : unit -> float
 
@@ -118,8 +121,8 @@ val note_cleaned :
   policy:string -> segments:int -> bytes_moved:int -> bytes_reclaimed:int -> unit
 
 val count_event : string -> unit
-(** Bump a named counter on the installed metrics registry (no-op
-    without one) — for rare-path visibility like cleaner stalls. *)
+(** Bump a named counter in the engine's registry (no-op without an
+    installed log) — for rare-path visibility like cleaner stalls. *)
 
 (** {1 Sinks (for the shadow evaluator)} *)
 

@@ -23,9 +23,10 @@
    stall detector plus Engine drain watcher turn an impending deadlock
    into an alert with a flight-recorder dump instead of a silent drain.
 
-   Like the other observability layers this is ambient: install at most
-   one; every hook (worker heartbeats) is a no-op when none is
-   installed. *)
+   Like the other observability layers this lives in its engine's
+   context: one health plane per engine, and every hook (worker
+   heartbeats) resolves the plane of [Sim.Engine.current] and is a
+   no-op when that engine has none. *)
 
 (* ---------- sliding burn-rate windows ---------- *)
 
@@ -314,8 +315,9 @@ type t = {
   mutable tm : Sim.Engine.timer option;
 }
 
-let installed : t option ref = ref None
-let enabled () = match !installed with None -> false | Some _ -> true
+let key : t option Sim.Engine.key = Sim.Engine.new_key (fun () -> None)
+let installed () = Sim.Engine.get_current key
+let enabled () = match installed () with None -> false | Some _ -> true
 
 (* ---------- alert plumbing ---------- *)
 
@@ -492,10 +494,10 @@ let do_tick t =
   check_workers t now;
   check_stall t
 
-(* ---------- heartbeats (ambient; called from the service layer) ---------- *)
+(* ---------- heartbeats (called from the service layer) ---------- *)
 
 let worker_busy name job =
-  match !installed with
+  match installed () with
   | None -> ()
   | Some t -> (
       let now = Sim.Engine.now t.engine in
@@ -511,7 +513,7 @@ let worker_busy name job =
             { w_busy = true; w_since = now; w_beat = now; w_flagged = false; w_job = job })
 
 let worker_beat name =
-  match !installed with
+  match installed () with
   | None -> ()
   | Some t -> (
       match Hashtbl.find t.workers name with
@@ -521,7 +523,7 @@ let worker_beat name =
       | exception Not_found -> ())
 
 let worker_idle name =
-  match !installed with
+  match installed () with
   | None -> ()
   | Some t -> (
       match Hashtbl.find t.workers name with
@@ -534,7 +536,8 @@ let worker_idle name =
 (* ---------- lifecycle ---------- *)
 
 let install ?(tick_s = 30.0) ?(hysteresis = 0.5) ?(deadline_s = 900.0) ?(horizon_s = 900.0)
-    ?(quiet = false) ?flight ~metrics engine objectives =
+    ?(quiet = false) ?flight engine objectives =
+  let metrics = Sim.Metrics.of_engine engine in
   let ostates =
     List.map
       (fun o ->
@@ -600,7 +603,7 @@ let install ?(tick_s = 30.0) ?(hysteresis = 0.5) ?(deadline_s = 900.0) ?(horizon
              (Printf.sprintf "event queue drained with %d blocked: %s" (List.length names)
                 (String.concat ", " names))
          end));
-  installed := Some t;
+  Sim.Engine.set engine key (Some t);
   t
 
 let tick = do_tick
@@ -610,7 +613,9 @@ let stop t =
     do_tick t; (* closing evaluation at the final virtual time *)
     t.stopped <- true
   end;
-  if !installed == Some t then installed := None
+  match Sim.Engine.get t.engine key with
+  | Some cur when cur == t -> Sim.Engine.set t.engine key None
+  | _ -> ()
 
 let alerts t = List.rev t.alerts
 let ticks t = t.ticks

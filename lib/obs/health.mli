@@ -100,12 +100,14 @@ val install :
   ?horizon_s:float ->
   ?quiet:bool ->
   ?flight:Sim.Flight.t ->
-  metrics:Sim.Metrics.t ->
   Sim.Engine.t ->
   objective list ->
   t
-(** Installs the ambient health plane and starts its tick (default
-    every 30 virtual seconds; stops re-arming after {!stop}).
+(** Installs the engine's health plane and starts its tick (default
+    every 30 virtual seconds; stops re-arming after {!stop}). The
+    objectives read, and the [slo.*]/[health.alerts] instruments land
+    in, the engine's registry as it is at install
+    ({!Sim.Metrics.of_engine}), so install after [Hl.mkfs]/[Hl.mount].
     [deadline_s] (default 900) flags requests older than that;
     [horizon_s] (default 900) flags busy workers with no heartbeat for
     that long — deliberately beyond the service layer's retry
@@ -115,7 +117,7 @@ val install :
 
 val stop : t -> unit
 (** Runs a closing evaluation at the current virtual time, stops the
-    tick, and uninstalls the ambient instance. The engine drain
+    tick, and uninstalls it from its engine. The engine drain
     watcher stays armed: a deadlock discovered after [stop] is still
     reported. *)
 
@@ -127,7 +129,8 @@ val ticks : t -> int
 val alerts : t -> alert list
 (** Oldest first. *)
 
-(** {1 Worker heartbeats} (no-ops when no health plane is installed) *)
+(** {1 Worker heartbeats} (no-ops when the current engine has no
+    health plane) *)
 
 val worker_busy : string -> string -> unit
 (** [worker_busy name job]: the worker claimed a job. *)

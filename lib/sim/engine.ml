@@ -10,13 +10,33 @@ type t = {
   mutable running_name : string;
   mutable events_retired : int;
   mutable drain_watcher : (string list -> unit) option;
+  mutable slots : Obj.t array; (* instrument slots, indexed by key *)
 }
 
 type _ Effect.t +=
   | Delay : float -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-let create ?capacity () =
+(* Per-engine instrument slots, in the shape of [Domain.DLS]: a key is
+   an index into every engine's [slots], each filled by its key's
+   initialiser when the engine is made. Each index belongs to exactly
+   one typed key, so the value under it always has that key's type. *)
+type 'a key = int
+
+let inits : (unit -> Obj.t) list ref = ref [] (* newest key first *)
+
+let new_key init =
+  inits := (fun () -> Obj.repr (init ())) :: !inits;
+  List.length !inits - 1
+
+(* made from an immediate, so never a flat float array *)
+let fresh_slots () =
+  let n = List.length !inits in
+  let s = Array.make n (Obj.repr 0) in
+  List.iteri (fun i init -> s.(n - 1 - i) <- init ()) !inits;
+  s
+
+let make ?capacity () =
   {
     clock = { Eventq.time = 0.0 };
     q = Eventq.create ?capacity ();
@@ -26,7 +46,36 @@ let create ?capacity () =
     running_name = "";
     events_retired = 0;
     drain_watcher = None;
+    slots = fresh_slots ();
   }
+
+(* The single ambient the unit-taking instrument entry points resolve
+   through: the engine most recently created or entered by [run] /
+   [run_until]; a placeholder with no instruments until the first
+   [create]. *)
+let ambient = ref (make ())
+let current () = !ambient
+
+let create ?capacity () =
+  let t = make ?capacity () in
+  ambient := t;
+  t
+
+(* A key made after the engine gets its slot on first use. *)
+let grow t =
+  let s = fresh_slots () in
+  Array.blit t.slots 0 s 0 (Array.length t.slots);
+  t.slots <- s
+
+let get t k =
+  if k >= Array.length t.slots then grow t;
+  Obj.obj (Array.unsafe_get t.slots k)
+
+let set t k v =
+  if k >= Array.length t.slots then grow t;
+  Array.unsafe_set t.slots k (Obj.repr v)
+
+let get_current k = get !ambient k
 
 let now t = t.clock.Eventq.time
 let events_retired t = t.events_retired
@@ -150,7 +199,10 @@ let blocked_process_names t =
 
 let set_drain_watcher t w = t.drain_watcher <- w
 
+(* [run]/[run_until] leave [t] ambient on return, so end-of-run reports
+   resolve to it. *)
 let run t =
+  ambient := t;
   let q = t.q in
   while not (Eventq.is_empty q) do
     step t;
@@ -167,6 +219,7 @@ let run t =
   done
 
 let run_until t limit =
+  ambient := t;
   let q = t.q in
   let exception Beyond in
   (try

@@ -17,6 +17,30 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] pre-sizes the event queue (see {!Eventq.create}) for
     runs known to keep thousands of processes in flight. *)
 
+val current : unit -> t
+(** The engine the unit-taking instrument entry points ([Trace.enabled],
+    [Fault.check], [Ledger.charge_active], ...) resolve through: the one
+    most recently created or entered by {!run}/{!run_until}, left set on
+    return so end-of-run reports still find it. *)
+
+(** {1 Instrument slots}
+
+    Each instrument (tracer, fault plan, ledger and metrics registries,
+    decision log, health plane) keeps its per-run state in a typed slot
+    on its engine, in the shape of [Domain.DLS], so two engines in one
+    process share none of it. *)
+
+type 'a key
+
+val new_key : (unit -> 'a) -> 'a key
+(** A fresh slot, filled by the initialiser on every engine. *)
+
+val get : t -> 'a key -> 'a
+val set : t -> 'a key -> 'a -> unit
+
+val get_current : 'a key -> 'a
+(** [get (current ()) k], for hot-path guards. *)
+
 val now : t -> float
 (** Current virtual time in seconds. *)
 

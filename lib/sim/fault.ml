@@ -69,22 +69,14 @@ let injected_by_site p =
   Hashtbl.fold (fun site n acc -> (site, n) :: acc) p.fires []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* ---------- ambient state ---------- *)
+(* ---------- the engine's plan ---------- *)
 
-let ambient : (Engine.t * plan) option ref = ref None
-let ambient_metrics : Metrics.t option ref = ref None
-
-let install engine ?metrics p =
-  ambient := Some (engine, p);
-  ambient_metrics := metrics
-
-let clear () =
-  ambient := None;
-  ambient_metrics := None
+let key : plan option Engine.key = Engine.new_key (fun () -> None)
+let install engine p = Engine.set engine key (Some p)
+let clear () = Engine.set (Engine.current ()) key None
 
 (* match, not polymorphic (<>): checked on every modelled device op *)
-let active () = match !ambient with None -> false | Some _ -> true
-let set_metrics m = if active () then ambient_metrics := Some m
+let active () = match Engine.get_current key with None -> false | Some _ -> true
 
 (* ---------- names ---------- *)
 
@@ -120,24 +112,19 @@ let site_matches pat site =
 
 let op_matches ops op = ops = [] || List.mem op ops
 
-let note_metrics d =
-  match !ambient_metrics with
-  | None -> ()
-  | Some m ->
-      Metrics.incr (Metrics.counter m "faults.injected");
-      Metrics.incr (Metrics.counter m ("faults." ^ kind_name d.kind))
-
-let fire p d =
+let fire engine p d =
   p.n_injected <- p.n_injected + 1;
   Hashtbl.replace p.fires d.site
     (1 + Option.value ~default:0 (Hashtbl.find_opt p.fires d.site));
-  note_metrics d;
+  let m = Metrics.of_engine engine in
+  Metrics.incr (Metrics.counter m "faults.injected");
+  Metrics.incr (Metrics.counter m ("faults." ^ kind_name d.kind));
   Trace.instant ~track:d.site ~cat:"fault" (kind_name d.kind)
     ~args:[ ("op", op_name d.op); ("persistence", persistence_name d.persistence) ];
   if d.persistence = Permanent then Hashtbl.replace p.dead d.site d
 
 let site_dead site =
-  match !ambient with None -> false | Some (_, p) -> Hashtbl.mem p.dead site
+  match Engine.get_current key with None -> false | Some p -> Hashtbl.mem p.dead site
 
 let deliver d =
   match d.kind with
@@ -146,15 +133,14 @@ let deliver d =
   | Media_error | Robot_jam | Bus_reset -> raise (Injected d)
 
 let check ~site op =
-  match !ambient with
+  match Engine.get_current key with
   | None -> ()
-  | Some (engine, p) -> (
+  | Some p -> (
+      let engine = Engine.current () in
       match Hashtbl.find_opt p.dead site with
       | Some d ->
           (* a dead site fails every operation outright, hang or not *)
-          (match !ambient_metrics with
-          | Some m -> Metrics.incr (Metrics.counter m "faults.dead_site_hits")
-          | None -> ());
+          Metrics.incr (Metrics.counter (Metrics.of_engine engine) "faults.dead_site_hits");
           raise (Injected { d with op })
       | None ->
           let now = Engine.now engine in
@@ -181,7 +167,7 @@ let check ~site op =
                         persistence = a.rule.r_persistence;
                       }
                     in
-                    fire p d;
+                    fire engine p d;
                     deliver d
                   end
                   else scan rest

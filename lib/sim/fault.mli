@@ -12,9 +12,10 @@
     ("disk:rz57", "hp6300:drive0", "hp6300:robot", "scsi:scsi0") — an
     operation filter, a {e trigger} (a sim-time window, an op-count, a
     seeded per-op probability, or every op), the fault {e kind} and its
-    persistence. Like {!Trace}, one plan at a time is ambient:
-    {!install} arms it and every device consults {!check} at each
-    operation; with no plan installed the check is one pointer read.
+    persistence. Like {!Trace}, a plan belongs to one engine: {!install}
+    arms it in that engine's context and every device consults {!check}
+    at each operation, which resolves the plan of {!Engine.current};
+    with no plan armed there the check is one slot load.
 
     Transient faults abort the single operation (the service layer
     retries). A [Permanent] rule, once fired, marks the site dead:
@@ -25,8 +26,9 @@
     instead of failing, so nothing in the simulation can block forever.
 
     Every injected fault emits a {!Trace} instant on the site's track
-    and counts in the registry handed to {!install} (["faults.injected"],
-    ["faults.<kind>"]), so existing observability shows failures. *)
+    and counts in the engine's registry ({!Metrics.of_engine}:
+    ["faults.injected"], ["faults.<kind>"]), so existing observability
+    shows failures. *)
 
 type op = Read | Write | Swap | Transfer
 
@@ -84,23 +86,20 @@ val injected : plan -> int
 val injected_by_site : plan -> (string * int) list
 (** Per-site fire counts, sorted by site name. *)
 
-(** {1 Ambient installation} *)
+(** {1 Installation} *)
 
-val install : Engine.t -> ?metrics:Metrics.t -> plan -> unit
-(** Arms [plan] against [engine]'s clock. At most one plan is ambient;
-    installing replaces the previous one. [metrics] (can also be set
-    later with {!set_metrics}) receives the fault counters. *)
+val install : Engine.t -> plan -> unit
+(** Arms [plan] against [engine]'s clock, replacing the engine's
+    previous plan. Other engines are unaffected. *)
 
 val clear : unit -> unit
+(** Disarms the current engine's plan. *)
+
 val active : unit -> bool
 
-val set_metrics : Metrics.t -> unit
-(** Points the armed plan's counters at a registry — used when the
-    registry (e.g. a HighLight instance's) is created after the plan is
-    installed. No-op when no plan is armed. *)
-
 val check : site:string -> op -> unit
-(** The device-side consultation point. With no ambient plan: a no-op.
+(** The device-side consultation point. With no plan armed on the
+    current engine: a no-op.
     Otherwise: if [site] is dead, raises {!Injected} immediately; else
     evaluates the rules in order and fires the first whose trigger
     matches — hanging ([Engine.delay], must be called from a simulator

@@ -1,12 +1,12 @@
 (* Flight recorder: an always-on bounded ring of recent trace events
-   plus a black-box dumper. The ring reuses Trace's ambient tracer in
+   plus a black-box dumper. The ring is its engine's Trace tracer in
    [~ring:true] mode (evict-oldest), so leaving it on costs the same as
    sampled tracing; when an alert fires, [dump] writes a post-mortem
    bundle — the Chrome trace of the last [window_s] simulated seconds,
    a metrics snapshot, every open ledger's wait profile, and a manifest
    of the active alerts — to its own directory.
 
-   If a full tracer is already installed (e.g. hlctl --trace), the
+   If its engine already has a full tracer (e.g. hlctl --trace), the
    recorder shares it instead of replacing it: the dump's [since] cut
    makes the bundle equivalent either way. *)
 
@@ -22,7 +22,7 @@ type t = {
 
 let start ?(ring = 65_536) ?(sample = 1) ?(window_s = 600.0) ?(dir = "blackbox") engine =
   let tracer, owns_tracer =
-    match Trace.current () with
+    match Trace.of_engine engine with
     | Some tr -> (tr, false)
     | None -> (Trace.start ~limit:ring ~sample ~ring:true engine, true)
   in
@@ -31,7 +31,7 @@ let start ?(ring = 65_536) ?(sample = 1) ?(window_s = 600.0) ?(dir = "blackbox")
 let tracer t = t.tracer
 let window_s t = t.window_s
 let dumps t = List.rev t.dumps
-let stop t = if t.owns_tracer then Trace.stop ()
+let stop t = if t.owns_tracer then Trace.uninstall t.tracer
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()

@@ -2,8 +2,9 @@
     dumps.
 
     {!start} keeps the last [ring] trace events in memory by installing
-    the ambient {!Trace} in evict-oldest ring mode (or sharing an
-    already-installed full tracer, e.g. under [hlctl --trace]). When
+    its engine's {!Trace} in evict-oldest ring mode (or sharing a full
+    tracer already installed on that engine, e.g. under
+    [hlctl --trace]). When
     something goes wrong, {!dump} writes a self-contained post-mortem
     bundle directory: [trace.json] (Chrome trace of the last [window_s]
     simulated seconds), [metrics.json] (registry snapshot),
@@ -17,7 +18,7 @@ val start : ?ring:int -> ?sample:int -> ?window_s:float -> ?dir:string -> Engine
 (** [ring] (default 64k events) bounds the in-memory ring; [sample]
     applies {!Trace} 1-in-N sampling on top; [window_s] (default 600)
     is how far back each dump reaches; [dir] (default ["blackbox"]) is
-    the parent directory for bundles. If a tracer is already installed
+    the parent directory for bundles. If [engine] already has a tracer
     the recorder shares it ([ring]/[sample] are then ignored) and
     {!stop} leaves it installed. *)
 
@@ -33,4 +34,4 @@ val dumps : t -> string list
 (** Bundle paths written so far, oldest first. *)
 
 val stop : t -> unit
-(** Uninstalls the ambient tracer iff this recorder installed it. *)
+(** Uninstalls the engine's tracer iff this recorder installed it. *)

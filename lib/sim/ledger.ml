@@ -5,15 +5,16 @@
    point makes the per-category charges sum exactly to the request's
    end-to-end latency — the invariant test_attrib.ml asserts.
 
-   Like Trace and Fault, the ledger layer is ambient: a run installs at
-   most one registry and every instrumentation point is a no-op when
-   none is installed (or when handed the [none] ledger). Activation is
-   keyed by the *running process's name*: a worker activates the ledger
-   of the request it is serving for the dynamic extent of the phase, and
-   device-layer charges ([charge_active]/[charged_active]) find it
-   there. Coroutines interleave at suspension points, but each worker
-   process serves one request at a time, so the per-process binding is
-   exact where a single global would smear charges across requests. *)
+   Like Trace and Fault, the ledger registry lives in its engine's
+   context: every instrumentation point resolves the registry of
+   [Engine.current] and is a no-op when none is installed there (or
+   when handed the [none] ledger). Activation is keyed by the *running
+   process's name*: a worker activates the ledger of the request it is
+   serving for the dynamic extent of the phase, and device-layer
+   charges ([charge_active]/[charged_active]) find it there. Coroutines
+   interleave at suspension points, but each worker process serves one
+   request at a time, so the per-process binding is exact where a
+   single global would smear charges across requests. *)
 
 type category =
   | Queue_wait
@@ -78,8 +79,6 @@ type agg = {
 }
 
 type registry = {
-  engine : Engine.t;
-  metrics : Metrics.t;
   mutable next_id : int;
   active : (string, t * category option) Hashtbl.t; (* process name -> (ledger, redirect) *)
   aggs : (string, agg) Hashtbl.t;
@@ -87,33 +86,32 @@ type registry = {
   mutable open_count : int;
 }
 
-let installed : registry option ref = ref None
+let key : registry option Engine.key = Engine.new_key (fun () -> None)
 
-let install ?metrics engine =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  installed :=
-    Some
-      {
-        engine;
-        metrics;
-        next_id = 0;
-        active = Hashtbl.create 16;
-        aggs = Hashtbl.create 8;
-        opens = Hashtbl.create 32;
-        open_count = 0;
-      }
+let install engine =
+  Engine.set engine key
+    (Some
+       {
+         next_id = 0;
+         active = Hashtbl.create 16;
+         aggs = Hashtbl.create 8;
+         opens = Hashtbl.create 32;
+         open_count = 0;
+       })
 
-let uninstall () = installed := None
-
-(* match, not polymorphic (<>): this guard must stay branch-cheap *)
-let enabled () = match !installed with None -> false | Some _ -> true
+let uninstall () = Engine.set (Engine.current ()) key None
+let installed () = Engine.get_current key
+let now () = Engine.now (Engine.current ())
 
 (* [Engine.current_name] hands back an already-live string — the
    option-returning [current_process] would box one per charge. *)
-let proc r = Engine.current_name r.engine
+let proc () = Engine.current_name (Engine.current ())
+
+(* match, not polymorphic (<>): this guard must stay branch-cheap *)
+let enabled () = match installed () with None -> false | Some _ -> true
 
 let open_request ~kind =
-  match !installed with
+  match installed () with
   | None -> none
   | Some r ->
       let id = r.next_id in
@@ -123,7 +121,7 @@ let open_request ~kind =
         {
           l_id = id;
           l_kind = kind;
-          l_opened = Engine.now r.engine;
+          l_opened = now ();
           charges = Array.make ncats 0.0;
           first_block = -1.0;
           closed = false;
@@ -144,18 +142,14 @@ let charge l cat dt =
 
 let charge_since l cat t0 =
   if is_real l then
-    match !installed with
-    | None -> ()
-    | Some r -> charge l cat (Engine.now r.engine -. t0)
+    match installed () with None -> () | Some _ -> charge l cat (now () -. t0)
 
 let charged l cat = if is_real l then l.charges.(cat_index cat) else 0.0
 let total l = Array.fold_left ( +. ) 0.0 l.charges
 
 let mark_first_block l =
   if is_real l && l.first_block < 0.0 then
-    match !installed with
-    | None -> ()
-    | Some r -> l.first_block <- Engine.now r.engine -. l.l_opened
+    match installed () with None -> () | Some _ -> l.first_block <- now () -. l.l_opened
 
 let first_block_s l = if is_real l && l.first_block >= 0.0 then Some l.first_block else None
 
@@ -179,7 +173,7 @@ let agg r kind =
 let drop l =
   if is_real l && not l.closed then begin
     l.closed <- true;
-    match !installed with
+    match installed () with
     | None -> ()
     | Some r ->
         r.open_count <- r.open_count - 1;
@@ -191,21 +185,22 @@ let hist_name kind what = Printf.sprintf "ledger.%s.%s" kind what
 let close l =
   if is_real l && not l.closed then begin
     l.closed <- true;
-    match !installed with
+    match installed () with
     | None -> ()
     | Some r ->
         r.open_count <- r.open_count - 1;
         Hashtbl.remove r.opens l.l_id;
+        let metrics = Metrics.of_engine (Engine.current ()) in
         let a = agg r l.l_kind in
         a.a_requests <- a.a_requests + 1;
-        let e2e = Engine.now r.engine -. l.l_opened in
+        let e2e = now () -. l.l_opened in
         a.a_e2e <- a.a_e2e +. e2e;
-        Metrics.observe (Metrics.histogram r.metrics (hist_name l.l_kind "e2e_s")) e2e;
+        Metrics.observe (Metrics.histogram metrics (hist_name l.l_kind "e2e_s")) e2e;
         if l.first_block >= 0.0 then begin
           a.a_fb_total <- a.a_fb_total +. l.first_block;
           a.a_fb_count <- a.a_fb_count + 1;
           Metrics.observe
-            (Metrics.histogram r.metrics (hist_name l.l_kind "first_block_s"))
+            (Metrics.histogram metrics (hist_name l.l_kind "first_block_s"))
             l.first_block
         end;
         List.iter
@@ -215,7 +210,7 @@ let close l =
               a.totals.(i) <- a.totals.(i) +. l.charges.(i);
               a.counts.(i) <- a.counts.(i) + 1;
               Metrics.observe
-                (Metrics.histogram r.metrics (hist_name l.l_kind (category_name cat ^ "_s")))
+                (Metrics.histogram metrics (hist_name l.l_kind (category_name cat ^ "_s")))
                 l.charges.(i)
             end)
           categories
@@ -226,10 +221,10 @@ let close l =
 let with_active ?redirect l f =
   if not (is_real l) then f ()
   else
-    match !installed with
+    match installed () with
     | None -> f ()
     | Some r -> (
-        let p = proc r in
+        let p = proc () in
         let prev = Hashtbl.find_opt r.active p in
         Hashtbl.replace r.active p (l, redirect);
         let restore () =
@@ -248,28 +243,28 @@ let with_active ?redirect l f =
 (* The device layers call these on every simulated I/O; [Hashtbl.find]
    + [Not_found] keeps the common miss path from boxing an option. *)
 let charge_active cat dt =
-  match !installed with
+  match installed () with
   | None -> ()
   | Some r -> (
-      match Hashtbl.find r.active (proc r) with
+      match Hashtbl.find r.active (proc ()) with
       | l, redirect -> charge l (match redirect with Some c -> c | None -> cat) dt
       | exception Not_found -> ())
 
 let charged_active cat f =
-  match !installed with
+  match installed () with
   | None -> f ()
   | Some r -> (
-      match Hashtbl.find r.active (proc r) with
+      match Hashtbl.find r.active (proc ()) with
       | exception Not_found -> f ()
       | l, redirect -> (
           let cat = match redirect with Some c -> c | None -> cat in
-          let t0 = Engine.now r.engine in
+          let t0 = now () in
           match f () with
           | v ->
-              charge l cat (Engine.now r.engine -. t0);
+              charge l cat (now () -. t0);
               v
           | exception e ->
-              charge l cat (Engine.now r.engine -. t0);
+              charge l cat (now () -. t0);
               raise e))
 
 (* ---------- aggregate summary and export ---------- *)
@@ -286,15 +281,16 @@ type class_summary = {
   by_category : cat_stat list;
 }
 
-let p95 r name =
-  match Metrics.find_histogram r.metrics name with
+let p95 metrics name =
+  match Metrics.find_histogram metrics name with
   | Some h when Metrics.observations h > 0 -> Metrics.percentile h 0.95
   | _ -> 0.0
 
 let summary () =
-  match !installed with
+  match installed () with
   | None -> []
   | Some r ->
+      let metrics = Metrics.of_engine (Engine.current ()) in
       Hashtbl.fold (fun kind a acc -> (kind, a) :: acc) r.aggs []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> List.map (fun (kind, a) ->
@@ -309,7 +305,7 @@ let summary () =
                          cat;
                          total_s = a.totals.(i);
                          count = a.counts.(i);
-                         p95_s = p95 r (hist_name kind (category_name cat ^ "_s"));
+                         p95_s = p95 metrics (hist_name kind (category_name cat ^ "_s"));
                        })
                  categories
                (* blame-ranked: the critical-path ordering *)
@@ -319,22 +315,23 @@ let summary () =
                cls = kind;
                requests = a.a_requests;
                e2e_total_s = a.a_e2e;
-               e2e_p95_s = p95 r (hist_name kind "e2e_s");
+               e2e_p95_s = p95 metrics (hist_name kind "e2e_s");
                first_blocks = a.a_fb_count;
                first_block_total_s = a.a_fb_total;
                by_category;
              })
 
-let open_requests () = match !installed with None -> 0 | Some r -> r.open_count
+let open_requests () = match installed () with None -> 0 | Some r -> r.open_count
 
 let iter_open f =
-  match !installed with
+  match installed () with
   | None -> ()
   | Some r ->
       Hashtbl.fold (fun _ l acc -> l :: acc) r.opens []
       |> List.sort (fun a b -> Int.compare a.l_id b.l_id)
       |> List.iter f
-let wall () = match !installed with None -> 0.0 | Some r -> Engine.now r.engine
+
+let wall () = match installed () with None -> 0.0 | Some _ -> now ()
 
 let to_json () =
   let b = Buffer.create 2048 in

@@ -7,13 +7,14 @@
     the per-category charges of a request sum exactly to its end-to-end
     latency — "why did this fetch take 19 s" becomes a table.
 
-    Like {!Trace} and {!Fault} this layer is ambient: {!install} at most
-    one registry per run; with none installed (or on the {!none} ledger)
-    every operation is a free no-op. Activation is keyed by the running
-    process's name ({!Engine.current_process}): a worker wraps the phase
-    it executes in {!with_active} and device-layer instrumentation
-    ({!charge_active}/{!charged_active}) charges whatever request that
-    process is currently serving. *)
+    Like {!Trace} and {!Fault}, a registry belongs to one engine:
+    {!install} puts it in that engine's context, and every operation
+    resolves the registry of {!Engine.current}; with none installed
+    there (or on the {!none} ledger) it is a free no-op. Activation is
+    keyed by the running process's name ({!Engine.current_process}): a
+    worker wraps the phase it executes in {!with_active} and
+    device-layer instrumentation ({!charge_active}/{!charged_active})
+    charges whatever request that process is currently serving. *)
 
 type category =
   | Queue_wait  (** time parked in service/work queues, incl. retry backoff *)
@@ -41,12 +42,14 @@ val none : t
 
 val is_real : t -> bool
 
-val install : ?metrics:Metrics.t -> Engine.t -> unit
-(** Installs the ambient registry. Closed ledgers fold into per-class
-    [ledger.<class>.<category>_s] histograms of [metrics] (a private
-    registry when omitted). *)
+val install : Engine.t -> unit
+(** Installs a fresh registry on [engine]. Closed ledgers fold into
+    per-class [ledger.<class>.<category>_s] histograms of the engine's
+    metrics registry ({!Metrics.of_engine}). *)
 
 val uninstall : unit -> unit
+(** Uninstalls the current engine's registry. *)
+
 val enabled : unit -> bool
 
 val open_request : kind:string -> t

@@ -20,6 +20,10 @@ type t = {
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 32; histograms = Hashtbl.create 32 }
 
+let key = Engine.new_key create
+let of_engine engine = Engine.get engine key
+let install engine t = Engine.set engine key t
+
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c

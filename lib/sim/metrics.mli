@@ -11,6 +11,16 @@ type t
 
 val create : unit -> t
 
+(** {1 The engine's registry} *)
+
+val of_engine : Engine.t -> t
+(** The registry every instrument on [engine] reports into: a private
+    one made with the engine until {!install} replaces it. *)
+
+val install : Engine.t -> t -> unit
+(** [Highlight.Hl.mkfs] and [Highlight.Hl.mount] install the instance's
+    registry. *)
+
 (** {1 Counters} *)
 
 type counter

@@ -16,8 +16,7 @@ type event = {
 }
 
 type t = {
-  clock : unit -> float;
-  proc : unit -> string;
+  engine : Engine.t;
   limit : int;
   sample : int; (* record 1 in [sample] spans/instants *)
   ring : bool; (* full buffer evicts oldest instead of dropping newest *)
@@ -27,24 +26,24 @@ type t = {
   mutable n : int;
   mutable dropped : int;
   mutable evicted : int;
-  mutable drop_counter : Metrics.counter option;
+  mutable drop_registry : Metrics.t; (* the registry [drop_counter] lives in *)
+  mutable drop_counter : Metrics.counter;
   mutable next_id : int;
   asyncs : (int, string * string) Hashtbl.t; (* open async id -> (name, cat) *)
 }
 
-(* The ambient tracer. A simulator run installs at most one; every
-   instrumentation point in the stack goes through it, so code that can
-   be traced needs no tracer parameter and costs one option check when
-   tracing is off. *)
-let installed : t option ref = ref None
+(* The engine's tracer. Every instrumentation point resolves it through
+   [Engine.current], so code that can be traced needs no tracer
+   parameter and costs one slot load when tracing is off. *)
+let key : t option Engine.key = Engine.new_key (fun () -> None)
 
 let start ?(limit = 2_000_000) ?(sample = 1) ?(ring = false) engine =
   if sample < 1 then invalid_arg "Trace.start: sample must be >= 1";
   if limit < 1 then invalid_arg "Trace.start: limit must be >= 1";
+  let registry = Metrics.of_engine engine in
   let tr =
     {
-      clock = (fun () -> Engine.now engine);
-      proc = (fun () -> Engine.current_name engine);
+      engine;
       limit;
       sample;
       ring;
@@ -54,27 +53,45 @@ let start ?(limit = 2_000_000) ?(sample = 1) ?(ring = false) engine =
       n = 0;
       dropped = 0;
       evicted = 0;
-      drop_counter = None;
+      drop_registry = registry;
+      drop_counter = Metrics.counter registry "trace.dropped";
       next_id = 0;
       asyncs = Hashtbl.create 32;
     }
   in
-  installed := Some tr;
+  Engine.set engine key (Some tr);
   tr
 
-let stop () = installed := None
-let current () = !installed
-(* NOT [!installed <> None]: polymorphic (<>) is a C call, and this
+let of_engine engine = Engine.get engine key
+let current () = Engine.get_current key
+
+let uninstall tr =
+  match Engine.get tr.engine key with
+  | Some t when t == tr -> Engine.set tr.engine key None
+  | _ -> ()
+
+let stop () = Engine.set (Engine.current ()) key None
+
+(* NOT [current () <> None]: polymorphic (<>) is a C call, and this
    guard sits on device hot paths precisely to make disabled tracing
    free. *)
-let enabled () = match !installed with None -> false | Some _ -> true
+let enabled () = match current () with None -> false | Some _ -> true
 let event_count t = t.n
 let dropped t = t.dropped
 let evicted t = t.evicted
-let attach_metrics tr m = tr.drop_counter <- Some (Metrics.counter m "trace.dropped")
 
-let note_unrecorded tr =
-  match tr.drop_counter with None -> () | Some c -> Metrics.incr c
+(* [trace.dropped] lives in the engine's registry, which [Hl.mkfs]
+   replaces under a tracer started before it: follow the swap, so the
+   counter is registered (at 0) in the registry the run reports from. *)
+let drop_counter tr =
+  let m = Metrics.of_engine tr.engine in
+  if m != tr.drop_registry then begin
+    tr.drop_registry <- m;
+    tr.drop_counter <- Metrics.counter m "trace.dropped"
+  end;
+  tr.drop_counter
+
+let note_unrecorded tr = Metrics.incr (drop_counter tr)
 
 (* Ring eviction is amortized: let the buffer grow to 2*limit, then keep
    the newest [limit] in one O(limit) pass, so steady state is O(1) per
@@ -89,9 +106,10 @@ let truncate_ring tr =
   tr.n <- tr.limit
 
 let add tr ev =
+  let dropped = drop_counter tr in
   if tr.n >= tr.limit && not tr.ring then begin
     tr.dropped <- tr.dropped + 1;
-    note_unrecorded tr
+    Metrics.incr dropped
   end
   else begin
     tr.events <- ev :: tr.events;
@@ -99,7 +117,8 @@ let add tr ev =
     if tr.ring && tr.n >= 2 * tr.limit then truncate_ring tr
   end
 
-let resolve_track tr = function Some track -> track | None -> tr.proc ()
+let now tr = Engine.now tr.engine
+let resolve_track tr = function Some track -> track | None -> Engine.current_name tr.engine
 
 (* 1-in-N sampling for the high-volume event kinds (spans, instants,
    counters). Async lifecycles are never sampled: dropping a begin
@@ -128,7 +147,7 @@ let sampled tr =
    and a branch instead of an allocation. A [true] result pre-admits
    the caller's next span/instant/counter. *)
 let keep () =
-  match !installed with
+  match current () with
   | None -> false
   | Some tr ->
       if sampled tr then begin
@@ -138,28 +157,28 @@ let keep () =
       else false
 
 let instant ?track ?(cat = "") ?(args = []) name =
-  match !installed with
+  match current () with
   | None -> ()
   | Some tr ->
       if sampled tr then
-        add tr { ts = tr.clock (); track = resolve_track tr track; name; cat; ph = Instant; args }
+        add tr { ts = now tr; track = resolve_track tr track; name; cat; ph = Instant; args }
 
 let counter ~track ?(cat = "") name value =
-  match !installed with
+  match current () with
   | None -> ()
   | Some tr ->
-      if sampled tr then add tr { ts = tr.clock (); track; name; cat; ph = Counter value; args = [] }
+      if sampled tr then add tr { ts = now tr; track; name; cat; ph = Counter value; args = [] }
 
 let span ?track ?(cat = "") ?(args = []) name f =
-  match !installed with
+  match current () with
   | None -> f ()
   | Some tr ->
       if not (sampled tr) then f ()
       else begin
         let track = resolve_track tr track in
-        let t0 = tr.clock () in
+        let t0 = now tr in
         let finish () =
-          add tr { ts = t0; track; name; cat; ph = Complete (tr.clock () -. t0); args }
+          add tr { ts = t0; track; name; cat; ph = Complete (now tr -. t0); args }
         in
         match f () with
         | v ->
@@ -171,20 +190,20 @@ let span ?track ?(cat = "") ?(args = []) name f =
       end
 
 let async_begin ?track ?(cat = "request") ?(args = []) name =
-  match !installed with
+  match current () with
   | None -> -1
   | Some tr ->
       let id = tr.next_id in
       tr.next_id <- id + 1;
       Hashtbl.replace tr.asyncs id (name, cat);
       add tr
-        { ts = tr.clock (); track = resolve_track tr track; name; cat; ph = Async_begin id; args };
+        { ts = now tr; track = resolve_track tr track; name; cat; ph = Async_begin id; args };
       id
 
 (* The name/cat of an async slice must match its begin event, so the
    middle and end points look the id up rather than trusting callers. *)
 let async_event ?track ?(args = []) ~close id =
-  match !installed with
+  match current () with
   | None -> ()
   | Some tr -> (
       match Hashtbl.find_opt tr.asyncs id with
@@ -193,7 +212,7 @@ let async_event ?track ?(args = []) ~close id =
           if close then Hashtbl.remove tr.asyncs id;
           add tr
             {
-              ts = tr.clock ();
+              ts = now tr;
               track = resolve_track tr track;
               name;
               cat;

@@ -7,10 +7,11 @@
     trace-event JSON, viewable in Perfetto ({:https://ui.perfetto.dev})
     or [chrome://tracing]; simulated seconds map to trace microseconds.
 
-    One tracer at a time is {e ambient}: {!start} installs it, and every
-    instrumentation point in the stack ({!span}, {!instant}, ...) logs
-    to it without plumbing. With no tracer installed, all of them are
-    no-ops, so instrumented code pays one option check when tracing is
+    A tracer belongs to one engine: {!start} installs it in that
+    engine's context, and every instrumentation point in the stack
+    ({!span}, {!instant}, ...) logs to the tracer of {!Engine.current}
+    without plumbing. With no tracer installed there, all of them are
+    no-ops, so instrumented code pays one slot load when tracing is
     off. When [?track] is omitted, events land on a track named after
     the running simulator process ({!Engine.current_process}). *)
 
@@ -18,7 +19,7 @@ type t
 
 val start : ?limit:int -> ?sample:int -> ?ring:bool -> Engine.t -> t
 (** Creates a tracer clocked by [engine]'s virtual time and installs it
-    as the ambient tracer. [limit] (default 2M) bounds the number of
+    as [engine]'s tracer. [limit] (default 2M) bounds the number of
     buffered events; beyond it events are counted in {!dropped} rather
     than stored. [sample] (default 1 = record everything) keeps 1 in
     [sample] of the high-volume event kinds — spans, instants,
@@ -31,9 +32,16 @@ val start : ?limit:int -> ?sample:int -> ?ring:bool -> Engine.t -> t
     [2*limit] events between truncations. *)
 
 val stop : unit -> unit
-(** Uninstalls the ambient tracer (the buffer survives for {!export}). *)
+(** Uninstalls the current engine's tracer (the buffer survives for
+    {!export}). *)
+
+val uninstall : t -> unit
+(** Uninstalls [t] from its engine if it is still installed there. *)
 
 val current : unit -> t option
+(** The tracer of {!Engine.current}. *)
+
+val of_engine : Engine.t -> t option
 val enabled : unit -> bool
 
 val keep : unit -> bool
@@ -49,17 +57,16 @@ val keep : unit -> bool
     [trace.dropped]. *)
 
 val event_count : t -> int
+
 val dropped : t -> int
+(** Events dropped at the buffer limit. Every event a tracer does not
+    record — those drops and sampled-out events alike (ring evictions
+    were recorded, so they do not count) — also bumps the
+    [trace.dropped] counter of its engine's registry
+    ({!Metrics.of_engine}). *)
 
 val evicted : t -> int
 (** Events aged out of a [~ring:true] buffer; 0 otherwise. *)
-
-val attach_metrics : t -> Metrics.t -> unit
-(** Registers a [trace.dropped] counter in the given registry and bumps
-    it for every event this tracer does not record — buffer-limit drops
-    and sampled-out events alike (ring evictions were recorded, so they
-    do not count). Attachable after {!start}, since tracers usually
-    outlive the metrics registry creation. *)
 
 val span : ?track:string -> ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] and records a complete ("X") event covering

@@ -55,9 +55,7 @@ let () =
           Printf.eprintf "soak: bad built-in SLOs: %s\n" e;
           exit 2
       | Ok objectives ->
-          health :=
-            Some
-              (Obs.Health.install ~metrics:(Highlight.Hl.metrics hl) engine objectives));
+          health := Some (Obs.Health.install engine objectives));
       let fs = Highlight.Hl.fs hl in
       let st = Highlight.Hl.state hl in
       ignore (Dir.mkdir fs "/archive");

@@ -78,7 +78,7 @@ let run_fetch_attribution io_mode () =
         (* the migration writes left volume 0 in a drive: park it so the
            fetch pays the full cold-volume cost *)
         Device.Jukebox.dismount jb;
-        Sim.Ledger.install ~metrics:(Hl.metrics hl) engine;
+        Sim.Ledger.install engine;
         let t0 = Sim.Engine.now engine in
         let back = Hl.read_file hl "/a" () in
         let elapsed = Sim.Engine.now engine -. t0 in
@@ -126,7 +126,7 @@ let test_writeout_attribution () =
       let st = Hl.state hl in
       Hl.write_file hl "/w" (bytes_pattern (2 * seg_bytes) 9);
       Fs.checkpoint fsys;
-      Sim.Ledger.install ~metrics:(Hl.metrics hl) engine;
+      Sim.Ledger.install engine;
       ignore (Migrator.migrate_paths st [ "/w" ]);
       Hl.shutdown_service hl);
   check Alcotest.int "no open requests after drain" 0 (Sim.Ledger.open_requests ());

@@ -1,15 +1,15 @@
 (* Migration-observatory unit tests: heat decay, the decision ring,
    NDJSON export, the three closed-loop SLIs, and shadow-policy
-   counterfactual scoring. All tests drive the ambient log directly —
-   no filesystem needed — and uninstall it on every exit path so test
-   order can't leak state. *)
+   counterfactual scoring. Each test installs the log on a fresh engine
+   (which becomes the current one) and drives it directly — no
+   filesystem needed — and uninstalls it on every exit path. *)
 
 open Obs
 
 let check = Alcotest.check
 
 let with_obs ?cap ?max_rejected ?window ?half_life f =
-  Decision.install ?cap ?max_rejected ?window ?half_life ();
+  Decision.install ?cap ?max_rejected ?window ?half_life (Sim.Engine.create ());
   Fun.protect ~finally:Decision.uninstall f
 
 (* --- Heat --- *)

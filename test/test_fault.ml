@@ -1,8 +1,8 @@
 (* Fault injection (Sim.Fault): the plan DSL and trigger machinery
    driven in isolation, then the service layer's retry, drive failover
    and graceful degradation when a live hierarchy runs under a plan.
-   Every test clears the ambient plan on the way out so a failure in
-   one case cannot leak faults into the next. *)
+   Every test clears the current engine's plan on the way out so a
+   failure in one case cannot leak faults into the next. *)
 
 open Highlight
 open Lfs
@@ -196,7 +196,6 @@ let run_transient_retries io_mode () =
           let hl, _fp = make_world ~io_mode engine in
           let a = bytes_pattern (3 * seg_bytes) 3 in
           Sim.Fault.install engine
-            ~metrics:(Hl.metrics hl)
             (parse_ok "seed=5\njb:drive* read,write prob=0.2 media_error transient");
           stage_out hl "/a" a ~vol:0;
           let got = Hl.read_file hl "/a" () in
@@ -220,9 +219,7 @@ let test_drive_failover () =
           stage_out hl "/b" b ~vol:1;
           (* armed only now: the migration ran clean, the read-back
              kills drive1 on its first operation *)
-          Sim.Fault.install engine
-            ~metrics:(Hl.metrics hl)
-            (parse_ok "jb:drive1 * op=1 media_error permanent");
+          Sim.Fault.install engine (parse_ok "jb:drive1 * op=1 media_error permanent");
           let done_cv = Sim.Condvar.create () in
           let remaining = ref 2 in
           let got_a = ref Bytes.empty and got_b = ref Bytes.empty in
@@ -258,7 +255,6 @@ let run_all_drives_dead io_mode () =
             let a = bytes_pattern (2 * seg_bytes) 9 in
             stage_out hl "/a" a ~vol:0;
             Sim.Fault.install engine
-              ~metrics:(Hl.metrics hl)
               (parse_ok
                  "jb:drive0 * op=1 media_error permanent\n\
                   jb:drive1 * op=1 media_error permanent");
@@ -302,7 +298,7 @@ let run_worm_writeout_retry op () =
           Seg_cache.iter (Hl.cache hl) (fun l ->
               if l.Seg_cache.state = Seg_cache.Staging then staged := l :: !staged);
           check Alcotest.int "two staged segments" 2 (List.length !staged);
-          Sim.Fault.install engine ~metrics:(Hl.metrics hl)
+          Sim.Fault.install engine
             (parse_ok (Printf.sprintf "jb:drive* write op=%d media_error transient" op));
           let lines =
             List.sort (fun x y -> compare x.Seg_cache.tindex y.Seg_cache.tindex) !staged
@@ -340,7 +336,6 @@ let prop_transient_reads_identical =
               let a = bytes_pattern (2 * seg_bytes) 3 in
               stage_out hl "/a" a ~vol:0;
               Sim.Fault.install engine
-                ~metrics:(Hl.metrics hl)
                 (parse_ok
                    (Printf.sprintf "seed=%d\njb:drive* read prob=%.4f media_error transient"
                       seed prob));
@@ -360,7 +355,6 @@ let prop_same_seed_same_counters =
                 let a = bytes_pattern (2 * seg_bytes) 7 in
                 stage_out hl "/a" a ~vol:0;
                 Sim.Fault.install engine
-                  ~metrics:(Hl.metrics hl)
                   (parse_ok
                      (Printf.sprintf "seed=%d\njb:drive* read prob=0.15 media_error transient"
                         seed));

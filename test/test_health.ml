@@ -123,8 +123,8 @@ let parse1 text =
    so [Engine.run_until] only advances time, and every evaluation is an
    explicit [Obs.Health.tick]. *)
 let manual_install ?hysteresis ?deadline_s ?horizon_s metrics engine objs =
-  Obs.Health.install ?hysteresis ?deadline_s ?horizon_s ~tick_s:1e12 ~quiet:true ~metrics
-    engine objs
+  Metrics.install engine metrics;
+  Obs.Health.install ?hysteresis ?deadline_s ?horizon_s ~tick_s:1e12 ~quiet:true engine objs
 
 let test_fast_only_spike_no_fire () =
   let e = Engine.create () in
@@ -316,7 +316,7 @@ let test_frac_objective () =
 let test_deadline_watchdog_blame () =
   let e = Engine.create () in
   let m = Metrics.create () in
-  Ledger.install ~metrics:m e;
+  Ledger.install e;
   let h = manual_install ~deadline_s:900.0 m e [] in
   let l = Ledger.open_request ~kind:"demand_fetch" in
   Ledger.charge l Ledger.Robot_swap 800.0;
@@ -370,10 +370,8 @@ let test_worker_watchdog () =
 
 let test_stall_detector () =
   let e = Engine.create () in
-  let m = Metrics.create () in
-  let h =
-    Obs.Health.install ~tick_s:5.0 ~quiet:true ~metrics:m e []
-  in
+  let m = Metrics.of_engine e in
+  let h = Obs.Health.install ~tick_s:5.0 ~quiet:true e [] in
   Engine.spawn e ~name:"stuck-fetcher" (fun () -> Engine.suspend (fun _ -> ()));
   (* the tick discovers the wedge from inside the scheduler (pending=0,
      blocked>0), reports once, and stops re-arming so [run] returns *)
@@ -390,8 +388,7 @@ let test_stall_detector () =
 
 let test_drain_watcher_after_stop () =
   let e = Engine.create () in
-  let m = Metrics.create () in
-  let h = Obs.Health.install ~tick_s:1e12 ~quiet:true ~metrics:m e [] in
+  let h = Obs.Health.install ~tick_s:1e12 ~quiet:true e [] in
   Engine.spawn e ~name:"stuck-writer" (fun () -> Engine.suspend (fun _ -> ()));
   (* stop before the run: the periodic tick is gone, but the engine
      drain watcher stays armed and still reports the silent drain *)
@@ -404,14 +401,25 @@ let test_drain_watcher_after_stop () =
         (contains a.Obs.Health.a_detail "stuck-writer")
   | l -> Alcotest.failf "expected one deadlock alert, got %d" (List.length l)
 
+(* [stop] takes the plane off its engine, so the service layer's
+   heartbeats stop reaching a stopped monitor; stopping a replaced
+   plane leaves its successor installed. *)
+let test_stop_uninstalls () =
+  let e = Engine.create () in
+  let old_plane = Obs.Health.install ~tick_s:1e12 ~quiet:true e [] in
+  let h = Obs.Health.install ~tick_s:1e12 ~quiet:true e [] in
+  Obs.Health.stop old_plane;
+  check Alcotest.bool "a replaced plane's stop leaves the new one" true (Obs.Health.enabled ());
+  Obs.Health.stop h;
+  check Alcotest.bool "disabled after stop" false (Obs.Health.enabled ())
+
 (* --- trace ring + sampling guard --- *)
 
 let test_trace_keep_sampling () =
   check Alcotest.bool "keep is false with no tracer" false (Trace.keep ());
   let e = Engine.create () in
   let tr = Trace.start ~sample:4 e in
-  let m = Metrics.create () in
-  Trace.attach_metrics tr m;
+  let m = Metrics.of_engine e in
   let recorded = ref 0 in
   for i = 1 to 8 do
     if Trace.keep () then begin
@@ -511,6 +519,7 @@ let suite =
         Alcotest.test_case "stall detector unwedges the run" `Quick test_stall_detector;
         Alcotest.test_case "drain watcher survives stop" `Quick
           test_drain_watcher_after_stop;
+        Alcotest.test_case "stop uninstalls" `Quick test_stop_uninstalls;
       ] );
     ( "health.flight",
       [

@@ -280,8 +280,8 @@ let prop_merge_then_percentile =
    over test/trace_golden.json. *)
 let golden_scenario ?metrics () =
   let e = Engine.create () in
+  Option.iter (Metrics.install e) metrics;
   let tr = Trace.start e in
-  (match metrics with Some m -> Trace.attach_metrics tr m | None -> ());
   Engine.spawn e ~name:"writer" (fun () ->
       Trace.span ~cat:"demo" "write" ~args:[ ("blk", "0") ] (fun () -> Engine.delay 1.0);
       let id = Trace.async_begin ~track:"reqs" ~cat:"lifecycle" "req" in
@@ -500,6 +500,135 @@ let test_world_trace () =
   check Alcotest.int "every lifecycle closed" (count_sub js "\"ph\":\"b\"")
     (count_sub js "\"ph\":\"e\"")
 
+(* --- two engines in one process --- *)
+
+(* What one engine's run of the world scenario saw, read from inside
+   its own main process, where every unit-taking instrument entry point
+   resolves to that engine. *)
+type engine_run = {
+  read_s : float;
+  finished_at : float;
+  identical : bool;
+  demand_fetches : int;
+  faults_injected : int;
+  fault_armed : bool;
+  trace_events : int;
+  ledger_on : bool;
+  ledger_requests : int;
+  decision_log : int option;
+  file_heat : float;
+  health_on : bool;
+}
+
+let engine_run =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.fprintf ppf
+        "{read_s=%g; finished_at=%g; identical=%b; fetches=%d; faults=%d/%b; trace=%d; \
+         ledger=%b/%d; decisions=%s; heat=%g; health=%b}"
+        r.read_s r.finished_at r.identical r.demand_fetches r.faults_injected r.fault_armed
+        r.trace_events r.ledger_on r.ledger_requests
+        (match r.decision_log with Some n -> string_of_int n | None -> "-")
+        r.file_heat r.health_on)
+    ( = )
+
+(* The world scenario of [world_scenario] on a fresh engine. An
+   [instrumented] engine gets a tracer, a ledger registry, a fault plan
+   that hangs every drive read for 5 s, a decision log and a health
+   plane; any other gets none of them. *)
+let start_world ~instrumented =
+  let e = Engine.create () in
+  let tracer = if instrumented then Some (Trace.start e) else None in
+  if instrumented then begin
+    Ledger.install e;
+    (match Fault.parse "jb:drive* read prob=1 hang=5" with
+    | Ok plan -> Fault.install e plan
+    | Error msg -> Alcotest.fail msg);
+    Obs.Decision.install e
+  end;
+  let out = ref None in
+  Engine.spawn e ~name:"test-main" (fun () ->
+      let open Highlight in
+      let hl, _fp = Test_service.make_world e in
+      let health = if instrumented then Some (Obs.Health.install ~quiet:true e []) else None in
+      let data = Test_service.bytes_pattern (2 * Test_service.seg_bytes) 9 in
+      Hl.write_file hl "/f" data;
+      Lfs.Fs.checkpoint (Hl.fs hl);
+      ignore (Migrator.migrate_paths (Hl.state hl) [ "/f" ]);
+      Hl.eject_tertiary_copies hl ~paths:[ "/f" ];
+      let t0 = Engine.now e in
+      let got = Hl.read_file hl "/f" () in
+      let read_s = Engine.now e -. t0 in
+      let health_on = Obs.Health.enabled () in
+      Hl.shutdown_service hl;
+      Option.iter Obs.Health.stop health;
+      let stats = Hl.stats hl in
+      let inum = (Lfs.Dir.namei (Hl.fs hl) "/f").Lfs.Inode.inum in
+      out :=
+        Some
+          {
+            read_s;
+            finished_at = Engine.now e;
+            identical = Bytes.equal got data;
+            demand_fetches = stats.Hl.demand_fetches;
+            faults_injected = stats.Hl.faults_injected;
+            fault_armed = Fault.active ();
+            trace_events = (match Trace.current () with Some tr -> Trace.event_count tr | None -> 0);
+            ledger_on = Ledger.enabled ();
+            ledger_requests =
+              List.fold_left (fun n cs -> n + cs.Ledger.requests) 0 (Ledger.summary ())
+              + Ledger.open_requests ();
+            decision_log = Option.map (fun s -> s.Obs.Decision.decisions) (Obs.Decision.sli ());
+            file_heat = Obs.Decision.file_temp ~now:(Engine.now e) inum;
+            health_on;
+          });
+  (e, tracer, out)
+
+(* Engine A carries every instrument and engine B none; stepped A, B,
+   A, B with [run_until], each must see exactly what it sees alone. *)
+let test_two_engines_interleaved () =
+  let solo ~instrumented =
+    let e, tracer, out = start_world ~instrumented in
+    Engine.run e;
+    (Option.get !out, Option.map Trace.export tracer)
+  in
+  let solo_a, solo_a_trace = solo ~instrumented:true in
+  let solo_b, _ = solo ~instrumented:false in
+  let a, tracer_a, out_a = start_world ~instrumented:true in
+  let b, _, out_b = start_world ~instrumented:false in
+  let tr_a = Option.get tracer_a in
+  let t = ref 0.0 and steps = ref 0 in
+  while (Option.is_none !out_a || Option.is_none !out_b) && !t < 1e5 do
+    t := !t +. 5.0;
+    Engine.run_until a !t;
+    Engine.run_until b !t;
+    incr steps;
+    if !steps = 1 then begin
+      (* A's tracer is live here: a recorder on B must start its own *)
+      let fl = Flight.start b in
+      check Alcotest.bool "B's flight recorder does not adopt A's tracer" true
+        (Flight.tracer fl != tr_a);
+      Flight.stop fl
+    end
+  done;
+  Engine.run a;
+  Engine.run b;
+  check Alcotest.bool "the runs interleaved" true (!steps > 2);
+  let ra = Option.get !out_a and rb = Option.get !out_b in
+  check Alcotest.bool "A's hung reads were injected" true (ra.faults_injected > 0);
+  check Alcotest.bool "A traced" true (ra.trace_events > 0);
+  check Alcotest.bool "A's ledger saw the fetches" true (ra.ledger_requests > 0);
+  check Alcotest.bool "B sees no fault plan" false rb.fault_armed;
+  check Alcotest.int "B sees no fault" 0 rb.faults_injected;
+  check Alcotest.int "B records no trace event" 0 rb.trace_events;
+  check Alcotest.bool "B has no ledger" false rb.ledger_on;
+  check Alcotest.int "B records no ledger" 0 rb.ledger_requests;
+  check Alcotest.bool "B has no decision log" true (rb.decision_log = None);
+  check Alcotest.bool "B has no health plane" false rb.health_on;
+  check engine_run "A as solo" solo_a ra;
+  check engine_run "B as solo" solo_b rb;
+  check Alcotest.bool "A's trace as solo" true (solo_a_trace = Some (Trace.export tr_a))
+
 let suite =
   [
     ( "obs.engine",
@@ -542,5 +671,7 @@ let suite =
           (test_shutdown_mid_producer Highlight.State.Serial);
         Alcotest.test_case "demand fetch feeds metrics" `Quick test_world_metrics;
         Alcotest.test_case "demand fetch appears in trace" `Quick test_world_trace;
+        Alcotest.test_case "two engines interleaved share no instrument" `Quick
+          test_two_engines_interleaved;
       ] );
   ]

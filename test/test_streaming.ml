@@ -143,8 +143,7 @@ let test_midstream_media_error () =
                four 4-block chunk deliveries. op=3 kills chunk 2, after
                blocks 0-3 of the segment (summary + file blocks 0-2)
                were delivered. *)
-            Sim.Fault.install engine ~metrics:(Hl.metrics hl)
-              (parse_ok "jb:drive* read op=3 media_error transient");
+            Sim.Fault.install engine (parse_ok "jb:drive* read op=3 media_error transient");
             let prefix = ref None and suffix_err = ref false in
             let done_cv = Sim.Condvar.create () in
             let remaining = ref 2 in
@@ -221,8 +220,7 @@ let test_serial_refetch_after_failure () =
             stage_out hl "/a" data ~vol:0;
             let ino = Dir.namei fs "/a" in
             (* op=3 kills the second chunk, as in the test above *)
-            Sim.Fault.install engine ~metrics:(Hl.metrics hl)
-              (parse_ok "jb:drive* read op=3 media_error transient");
+            Sim.Fault.install engine (parse_ok "jb:drive* read op=3 media_error transient");
             let wasted = Sim.Condvar.create () in
             st.State.on_prefetch_wasted <- (fun _ -> Sim.Condvar.broadcast wasted);
             let tindex = Addr_space.tindex_of_vol_seg st.State.aspace ~vol:0 ~seg:0 in
@@ -266,8 +264,7 @@ let test_midwrite_media_error () =
             (* streaming write ops are one per 4-block chunk (no
                pre-transfer check): op=2 tears the first write-out after
                chunk 1 already landed on the volume *)
-            Sim.Fault.install engine ~metrics:(Hl.metrics hl)
-              (parse_ok "jb:drive* write op=2 media_error transient");
+            Sim.Fault.install engine (parse_ok "jb:drive* write op=2 media_error transient");
             st.State.restrict_volume <- Some 0;
             ignore (Migrator.migrate_paths st [ "/a" ]);
             st.State.restrict_volume <- None;
@@ -340,8 +337,7 @@ let test_shared_segments_survive_rewrite () =
             (* the inode's segment streams in behind namei: let it land *)
             Sim.Engine.delay 30.0;
             st.State.retry.State.max_attempts <- 1;
-            Sim.Fault.install engine ~metrics:(Hl.metrics hl)
-              (parse_ok "jb:drive* read op=3 media_error transient");
+            Sim.Fault.install engine (parse_ok "jb:drive* read op=3 media_error transient");
             check Alcotest.bool "block 0 served from the delivered prefix" true
               (Bytes.equal (File.read fs ino ~off:0 ~len:4096) (Bytes.sub data 0 4096));
             Sim.Engine.delay 30.0;
